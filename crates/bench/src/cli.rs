@@ -7,7 +7,7 @@
 //! ```text
 //! experiments --experiment e6 [--json out.json] [--threads N]
 //!             [--sizes 16,32,64] [--pairs K] [--seed S]
-//!             [--executor replay|stepping|decide|auto]
+//!             [--executor replay|stepping|decide]
 //!             [--certificates certs.json] [--workers N] [--agents K]
 //! ```
 //!
@@ -208,11 +208,9 @@ fn resolve_sweep(args: &[String], ids: &str) -> (u64, Vec<(String, Vec<usize>, s
         Some("replay") => Some(sweep::Executor::TraceReplay),
         Some("stepping") => Some(sweep::Executor::DynStepping),
         Some("decide") => Some(sweep::Executor::ExactDecide),
-        Some("auto") => Some(sweep::Executor::Auto),
         Some(other) => {
             eprintln!(
-                "error: bad --executor `{other}` (expected `replay`, `stepping`, `decide` or \
-                 `auto`)"
+                "error: bad --executor `{other}` (expected `replay`, `stepping` or `decide`)"
             );
             exit(2);
         }
@@ -509,9 +507,10 @@ fn run_sweep_mode(args: &[String], ids: &str, json: Option<String>) {
 /// `rvz-sweep/v7` once any row has the optional `agents` field (an
 /// ensemble sweep ran with `--agents` k > 2 — checked first, so an
 /// ensemble payload is v7 whatever executor produced it),
-/// `rvz-sweep/v6` once any row has the optional `planned` field (the
-/// `--executor auto` planner ran), `rvz-sweep/v5` once any row has the
-/// optional `poisoned` field (a `--workers` shard hit the attempt cap),
+/// `rvz-sweep/v6` once any row has the optional `planned` field (only
+/// the removed `--executor auto` emitted it), `rvz-sweep/v5` once any
+/// row has the optional `poisoned` field (a `--workers` shard hit the
+/// attempt cap),
 /// `rvz-sweep/v4` once any row has the optional `timed_out` field (the
 /// `--cell-timeout` watchdog fired), `rvz-sweep/v3` once any row has the
 /// optional `schedule` field, the legacy `rvz-sweep/v2` otherwise.
@@ -671,12 +670,10 @@ Sweep mode (parallel batch engine):
                     with `agents`/`start_rest` fields; e11 defaults to 3)
     --seed S        base seed (default 0x5EED2010)
     --executor X    replay (trace-record/replay, default), stepping
-                    (dyn run_pair per cell), decide (exact decider,
+                    (dyn run_pair per cell), or decide (exact decider,
                     budget-free, certifies never-meets; default for
-                    e9/e10), or auto (per-cell cost-model planner +
-                    batched SoA kernel; rows gain a `planned` field) —
-                    rows are byte-identical across executors except for
-                    decide's `certified` flag and auto's `planned`
+                    e9/e10/e11) — rows are byte-identical across
+                    executors except for decide's `certified` flag
     --checkpoint F  append-only crash-safe journal of completed cells
                     (length-prefixed, per-record checksummed)
     --resume        skip cells already journaled in --checkpoint F; the

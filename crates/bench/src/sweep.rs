@@ -327,7 +327,7 @@ impl Delay {
     /// top few fixed delays (`≥ u64::MAX − 3`) onto one code: those
     /// cells are degenerate anyway — their budgets saturate to
     /// `u64::MAX`, so they are the same unusable scenario.
-    pub(crate) fn code(self) -> u64 {
+    fn code(self) -> u64 {
         match self {
             Delay::Zero => 0,
             Delay::Fixed(d) => d.saturating_add(1).min(u64::MAX - 2),
@@ -390,7 +390,7 @@ impl Variant {
     /// The universal delay quantifier is decidable only for the explicit
     /// automaton variant (the procedural agents have no exported finite
     /// configuration space), so [`Delay::Adversarial`] is bw-fsa-only.
-    pub(crate) fn supports(self, family: Family, delay: Delay) -> bool {
+    fn supports(self, family: Family, delay: Delay) -> bool {
         match self {
             Variant::TreeRvz => delay.is_always_zero(),
             Variant::DelayRobust => delay != Delay::Adversarial,
@@ -411,7 +411,7 @@ pub fn basic_walk_budget_for(n: usize, delay: u64) -> u64 {
 }
 
 /// Two basic-walk Euler periods plus slack: `4(n−1) + 2`, saturating.
-pub(crate) fn basic_walk_two_periods(n: usize) -> u64 {
+fn basic_walk_two_periods(n: usize) -> u64 {
     4u64.saturating_mul(n.max(1) as u64 - 1).saturating_add(2)
 }
 
@@ -449,14 +449,6 @@ pub enum Executor {
     /// [`Executor::TraceReplay`]. Rows are byte-identical to the other
     /// executors except for the `certified` flag (by test).
     ExactDecide,
-    /// Route every cell through the per-cell cost-model planner
-    /// ([`crate::planner`]): each cell goes to decide, replay, stepping or
-    /// the batched SoA kernel ([`rvz_sim::batch`]) by predicted cost, and
-    /// the row records the choice in the optional `planned` annotation.
-    /// Rows are byte-identical to the fixed executors modulo `planned`
-    /// (and `certified` on decide-routed cells) — by test and by the CI
-    /// `planner-differential` job.
-    Auto,
 }
 
 /// A full grid specification; [`run`] executes it.
@@ -568,13 +560,7 @@ pub struct SweepRow {
     /// field; see docs/schemas.md and docs/distributed.md).
     #[serde(skip_serializing_if = "Option::is_none")]
     pub poisoned: Option<bool>,
-    /// The planner's per-cell record under [`Executor::Auto`]: which
-    /// executor the cost model chose and its predicted/actual cost in
-    /// deterministic work units (agent activations — never wall clock, so
-    /// rows stay pure functions of the cell coordinates). Absent — not
-    /// `null` — under every fixed executor, so their rows keep their exact
-    /// serialized shape (schema `rvz-sweep/v6` = v5 plus this optional
-    /// field; see docs/schemas.md).
+    /// Never set since `--executor auto` was removed; `perfbench/tracer` still reads it.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub planned: Option<Planned>,
     /// Ensemble width for `--agents k > 2` cells; `met` then means all
@@ -590,10 +576,8 @@ pub struct SweepRow {
     pub start_rest: Option<Vec<NodeId>>,
 }
 
-/// The planner's decision record, embedded in [`SweepRow::planned`]. All
-/// three fields are deterministic: `choice` and `predicted` are pure
-/// functions of the spec and the cell coordinates, `actual` re-prices the
-/// row's outcome under the same model (see [`crate::planner`]).
+/// The removed `--executor auto` planner's record ([`SweepRow::planned`],
+/// schema `rvz-sweep/v6`); never emitted any more.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Planned {
     /// `"batch"` / `"replay"` / `"stepping"` / `"decide"`.
@@ -659,7 +643,7 @@ fn splitmix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-pub(crate) fn fnv(s: &str) -> u64 {
+fn fnv(s: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in s.bytes() {
         h ^= b as u64;
@@ -670,7 +654,7 @@ pub(crate) fn fnv(s: &str) -> u64 {
 
 /// Mixes grid coordinates into a seed. Position-independent by
 /// construction: only the listed tokens enter.
-pub(crate) fn mix(base: u64, tokens: &[u64]) -> u64 {
+fn mix(base: u64, tokens: &[u64]) -> u64 {
     let mut h = splitmix(base);
     for &t in tokens {
         h = splitmix(h ^ t);
@@ -1011,7 +995,7 @@ pub fn run_cell(cell: &Cell) -> Option<SweepRow> {
 /// the legacy θ-indexed path (every delay flavor, including
 /// start-delay-shaped schedule specs — which thereby emit byte-identical
 /// legacy rows), or the genuinely scheduled path.
-pub(crate) enum CellMode {
+enum CellMode {
     Delay(u64),
     Scheduled(ScheduleSpec),
 }
@@ -1019,7 +1003,7 @@ pub(crate) enum CellMode {
 impl Cell {
     /// The execution mode at instance size `n`. Must not be called on
     /// [`Delay::Adversarial`] cells (the quantifier layer owns those).
-    pub(crate) fn mode(&self, n: usize) -> CellMode {
+    fn mode(&self, n: usize) -> CellMode {
         match self.delay {
             Delay::Schedule(spec) => match spec.as_start_delay() {
                 Some(theta) => CellMode::Delay(theta),
@@ -1034,7 +1018,7 @@ impl Cell {
     /// split of [`Cell::mode`]) plus the resolved [`EnsembleSchedule`].
     /// θ-shaped cells delay the *last* lane, matching the pair convention
     /// of delaying agent B.
-    pub(crate) fn ensemble_mode(&self, n: usize) -> ((u64, Option<String>), EnsembleSchedule) {
+    fn ensemble_mode(&self, n: usize) -> ((u64, Option<String>), EnsembleSchedule) {
         match self.mode(n) {
             CellMode::Delay(theta) => {
                 let mut delays = vec![0; self.agents];
@@ -1058,7 +1042,7 @@ impl Cell {
 /// times all divide `2(n−1)` cycles — so the *joint* state repeats
 /// within `cycle · 2(n−1)` rounds past the prefix, the same bound as the
 /// pair (for θ-shapes this is exactly [`basic_walk_budget_for`]).
-pub(crate) fn ensemble_budget_and_provisioned(
+fn ensemble_budget_and_provisioned(
     cell: &Cell,
     inst: &SweepInstance,
     n: usize,
@@ -1085,7 +1069,7 @@ pub(crate) fn ensemble_budget_and_provisioned(
 /// this instance (shared by the stepping and replay executors). `sched`
 /// is the resolved schedule for genuinely scheduled cells (`delay` is
 /// then the θ-equivalent and only the schedule shapes the bw horizon).
-pub(crate) fn budget_and_provisioned(
+fn budget_and_provisioned(
     cell: &Cell,
     inst: &SweepInstance,
     n: usize,
@@ -1116,7 +1100,7 @@ pub(crate) fn budget_and_provisioned(
 /// its exact verdict with `certified: true`). Byte-identity across
 /// executors is maintained here, not per call site.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn make_row(
+fn make_row(
     cell: &Cell,
     inst: &SweepInstance,
     n: usize,
@@ -1906,12 +1890,21 @@ pub fn run_cell_with_executor(
         Executor::TraceReplay => (run_cell_replay(cell, inst), None),
         Executor::DynStepping => (run_cell_on(cell, inst), None),
         Executor::ExactDecide => decide_certified(),
-        // The planner owns Auto routing end to end
-        // ([`crate::planner::run_cell_auto`]): a fall-through here would
-        // have to invent a spec-less cost model whose `planned` bytes
-        // diverge from the real planner's, silently breaking
-        // thread-count byte-identity.
-        Executor::Auto => unreachable!("Executor::Auto is routed through crate::planner"),
+    }
+}
+
+/// One cell under `executor`, through the per-cell watchdog when
+/// `timeout` is set — the dispatch [`run_with_options`] and the
+/// `--workers` supervisor share.
+pub(crate) fn run_cell_with_timeout(
+    cell: &Cell,
+    inst: &Arc<SweepInstance>,
+    executor: Executor,
+    timeout: Option<std::time::Duration>,
+) -> (Option<SweepRow>, Option<Certificate>) {
+    match timeout {
+        Some(t) => run_cell_watchdogged(cell, inst, executor, t),
+        None => run_cell_with_executor(cell, inst, executor),
     }
 }
 
@@ -1927,9 +1920,6 @@ fn downgrade_chain(executor: Executor) -> &'static [Executor] {
         }
         Executor::TraceReplay => &[Executor::TraceReplay, Executor::DynStepping],
         Executor::DynStepping => &[Executor::DynStepping],
-        // The planner maps its choice to a fixed executor before entering
-        // the watchdog ([`crate::planner::run_cell_auto_watchdogged`]).
-        Executor::Auto => unreachable!("Executor::Auto is routed through crate::planner"),
     }
 }
 
@@ -2025,7 +2015,7 @@ pub(crate) fn poisoned_row(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow
 /// quarantined as an explicit [`timed_out_row`]. Adversarial cells get a
 /// single attempt: every executor routes them through the same quantifier
 /// layer, so a "downgrade" would re-run the identical computation.
-pub(crate) fn run_cell_watchdogged(
+fn run_cell_watchdogged(
     cell: &Cell,
     inst: &Arc<SweepInstance>,
     executor: Executor,
@@ -2130,11 +2120,6 @@ pub fn run_with_options(spec: &SweepSpec, opts: &RunOptions<'_>) -> SweepReport 
             reps.push(cell);
         }
     }
-    // Built once per run so every worker prices cells against the same
-    // axes; the planner is a pure function of the spec, which is what
-    // keeps `planned` bytes identical across `--threads` and `--workers`.
-    let planner =
-        (spec.executor == Executor::Auto).then(|| crate::planner::Planner::from_spec(spec));
     let run_one = |c: &Cell, inst: &Arc<SweepInstance>| {
         let cell_seed = c.cell_seed();
         if let Some(journal) = opts.journal {
@@ -2142,14 +2127,7 @@ pub fn run_with_options(spec: &SweepSpec, opts: &RunOptions<'_>) -> SweepReport 
                 return (rec.row.clone(), rec.certificate.clone());
             }
         }
-        let out = match (&planner, opts.cell_timeout) {
-            (Some(p), Some(timeout)) => {
-                crate::planner::run_cell_auto_watchdogged(c, inst, p, timeout)
-            }
-            (Some(p), None) => crate::planner::run_cell_auto(c, inst, p),
-            (None, Some(timeout)) => run_cell_watchdogged(c, inst, spec.executor, timeout),
-            (None, None) => run_cell_with_executor(c, inst, spec.executor),
-        };
+        let out = run_cell_with_timeout(c, inst, spec.executor, opts.cell_timeout);
         if let Some(journal) = opts.journal {
             journal.record(&crate::checkpoint::CellRecord {
                 cell_seed,
@@ -2792,80 +2770,15 @@ mod tests {
         }
     }
 
-    /// Serializes rows with the per-executor annotations (`certified`,
-    /// `planned`) cleared — the canonical cross-executor comparison (the
-    /// CI planner-differential job does the same with `jq del(…)`).
-    fn strip_annotations(rows: &[SweepRow]) -> String {
-        let mut rows = rows.to_vec();
-        for r in &mut rows {
-            r.certified = false;
-            r.planned = None;
-        }
-        serde_json::to_string(&rows).unwrap()
-    }
-
     #[test]
-    fn auto_executor_matches_every_fixed_executor_modulo_annotations() {
-        // The planner must be a pure routing layer: whatever it picks per
-        // cell, the row stream is the fixed executors' stream plus the
-        // `planned` annotation (and `certified` where it chose decide).
-        let mut spec = small_spec(2);
-        spec.executor = Executor::Auto;
-        let auto = run(&spec);
-        assert!(!auto.rows.is_empty());
-        for fixed in [Executor::TraceReplay, Executor::DynStepping, Executor::ExactDecide] {
-            spec.executor = fixed;
-            let reference = run(&spec);
-            assert_eq!(
-                strip_annotations(&auto.rows),
-                strip_annotations(&reference.rows),
-                "auto must match {fixed:?} modulo certified/planned"
-            );
-        }
-        for row in &auto.rows {
-            let planned = row.planned.as_ref().expect("every auto row carries the annotation");
-            assert!(
-                ["batch", "replay", "stepping", "decide"].contains(&planned.choice.as_str()),
-                "{planned:?}"
-            );
-            assert_eq!(row.certified, planned.choice == "decide", "{row:?}");
-            assert!(planned.predicted > 0 && planned.actual > 0, "{planned:?}");
-        }
-        // This grid has small-θ bw cells (batch territory) and procedural
-        // cells (replay territory) — the planner must actually route, not
-        // collapse onto one executor.
-        let choices: std::collections::HashSet<String> =
-            auto.rows.iter().filter_map(|r| r.planned.as_ref().map(|p| p.choice.clone())).collect();
-        assert!(choices.contains("batch"), "bw θ cells should hit the kernel: {choices:?}");
-        assert!(choices.contains("replay"), "procedural cells should replay: {choices:?}");
-    }
-
-    #[test]
-    fn auto_executor_is_byte_identical_across_thread_counts() {
-        // Full-byte comparison, `planned` included: the annotation must be
-        // a pure function of the spec and the coordinates, never of which
-        // thread warmed which cache first.
-        let mut spec1 = small_spec(1);
-        spec1.executor = Executor::Auto;
-        let mut spec4 = small_spec(4);
-        spec4.executor = Executor::Auto;
-        let report1 = run(&spec1);
-        let report4 = run(&spec4);
-        assert!(!report1.rows.is_empty());
-        assert_eq!(
-            serde_json::to_string(&report1.rows).unwrap(),
-            serde_json::to_string(&report4.rows).unwrap(),
-            "auto rows (planned annotation included) must not depend on thread count"
-        );
-    }
-
-    #[test]
-    fn auto_executor_matches_fixed_executors_on_scheduled_and_adversarial_cells() {
-        // The planner's other two route families: genuine schedules (the
-        // scheduled batch kernel / scheduled decider) and the universal
-        // delay quantifier (forced decide).
+    fn decide_executor_matches_replay_on_scheduled_and_adversarial_cells() {
+        // Genuine schedules and the universal delay quantifier: rows agree
+        // modulo `certified`, and the universal-verdict certificates —
+        // which every executor emits for adversarial cells — agree exactly.
+        // The decider may *add* scheduled never-meets lassos on top —
+        // certified evidence the bounded executors cannot produce.
         let spec = |executor| SweepSpec {
-            experiment: "auto-sched".into(),
+            experiment: "decide-sched".into(),
             families: vec![Family::Line, Family::Random],
             sizes: vec![8],
             delays: vec![
@@ -2880,33 +2793,29 @@ mod tests {
             executor,
             agents: 2,
         };
-        let auto = run(&spec(Executor::Auto));
+        let decided = run(&spec(Executor::ExactDecide));
         let replayed = run(&spec(Executor::TraceReplay));
-        assert!(!auto.rows.is_empty());
-        assert_eq!(strip_annotations(&auto.rows), strip_annotations(&replayed.rows));
-        // Adversarial cells carry certificates under every executor —
-        // routing through the planner must not drop the evidence: the
-        // universal-verdict subsets must agree exactly. Decide-routed
-        // scheduled cells may *add* never-meets lassos on top — certified
-        // evidence the bounded executors cannot produce.
-        let universal = |certs: &[Certificate]| {
-            let subset: Vec<&Certificate> = certs
+        assert!(!decided.rows.is_empty());
+        let strip = |rows: &[SweepRow]| {
+            let mut rows = rows.to_vec();
+            for r in &mut rows {
+                r.certified = false;
+            }
+            serde_json::to_string(&rows).unwrap()
+        };
+        assert_eq!(strip(&decided.rows), strip(&replayed.rows));
+        let universal = |certs: &[Certificate]| -> Vec<String> {
+            certs
                 .iter()
                 .filter(|c| matches!(c.verdict.as_str(), "all-delays-meet" | "delay-defeats"))
-                .collect();
-            serde_json::to_string(&subset).expect("serialize")
+                .map(|c| serde_json::to_string(c).expect("serialize"))
+                .collect()
         };
-        assert_eq!(universal(&auto.certificates), universal(&replayed.certificates));
-        assert!(auto.certificates.len() >= replayed.certificates.len());
-        for cert in &auto.certificates {
+        assert!(!universal(&replayed.certificates).is_empty(), "adversarial cells certify");
+        assert_eq!(universal(&decided.certificates), universal(&replayed.certificates));
+        assert!(decided.certificates.len() >= replayed.certificates.len());
+        for cert in decided.certificates.iter().chain(&replayed.certificates) {
             assert_ne!(cert.verified, Some(false), "{cert:?}");
-        }
-        for row in &auto.rows {
-            let planned = row.planned.as_ref().expect("annotated");
-            if row.schedule.is_none() {
-                // The only θ-less rows in this grid are adversarial cells.
-                assert_eq!(planned.choice, "decide", "{row:?}");
-            }
         }
     }
 

@@ -26,7 +26,6 @@ declare -A JOB_TARGETS=(
     [build-test]="build test"
     [lint]="fmt-check clippy docs doctest docs-check ci-parity-check"
     [differential]="differential"
-    [planner-differential]="planner-differential"
     [crash-resume]="crash-test worker-crash-test"
     [bench-smoke]="bench-json-check bench-smoke"
 )
