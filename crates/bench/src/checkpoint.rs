@@ -246,23 +246,24 @@ pub fn certificate_from_value(v: &Value) -> Option<Certificate> {
     })
 }
 
-/// The JSON body of one cell record.
+/// The JSON body of one cell record, streamed from the row and
+/// certificate without an intermediate [`Value`] tree.
 fn record_body(rec: &CellRecord) -> Vec<u8> {
-    let mut fields: Vec<(String, Value)> = vec![("cell".into(), Value::UInt(rec.cell_seed))];
+    let mut fields: Vec<(&str, &dyn serde::Serialize)> = vec![("cell", &rec.cell_seed)];
     if let Some(row) = &rec.row {
-        fields.push(("row".into(), serde_json::to_value(row)));
+        fields.push(("row", row));
     }
     if let Some(cert) = &rec.certificate {
-        fields.push(("certificate".into(), serde_json::to_value(cert)));
+        fields.push(("certificate", cert));
     }
-    serde_json::to_string(&Value::Object(fields)).expect("serialize record").into_bytes()
+    serde_json::to_string(&serde::Object(fields)).expect("serialize record").into_bytes()
 }
 
 fn header_body(fingerprint: u64) -> Vec<u8> {
-    let header = Value::Object(vec![
-        ("kind".into(), Value::Str("rvz-journal".into())),
-        ("version".into(), Value::UInt(JOURNAL_VERSION)),
-        ("fingerprint".into(), Value::UInt(fingerprint)),
+    let header = serde::Object(vec![
+        ("kind", &"rvz-journal"),
+        ("version", &JOURNAL_VERSION),
+        ("fingerprint", &fingerprint),
     ]);
     serde_json::to_string(&header).expect("serialize header").into_bytes()
 }

@@ -420,6 +420,7 @@ fn run_sweep_mode(args: &[String], ids: &str, json: Option<String>) {
         }
     }
 
+    let ids: Vec<&String> = reports.iter().map(|(id, _, _)| id).collect();
     if let Some(path) = json {
         if path.ends_with(".json") {
             // Single file: all requested experiments' rows, flattened.
@@ -431,28 +432,32 @@ fn run_sweep_mode(args: &[String], ids: &str, json: Option<String>) {
                 reports.iter().flat_map(|(_, sizes, _)| sizes.iter().copied()).collect();
             all_sizes.sort_unstable();
             all_sizes.dedup();
-            let payload = serde_json::json!({
-                "schema": sweep_schema(all_rows.iter().copied()),
-                "experiments": reports.iter().map(|(id, _, _)| id.clone()).collect::<Vec<_>>(),
-                "seed": seed,
-                "sizes": all_sizes,
-                "rows": all_rows
-            });
-            write_json(&path, &payload);
+            write_json(
+                &path,
+                &serde::Object(vec![
+                    ("schema", &sweep_schema(all_rows.iter().copied())),
+                    ("experiments", &ids),
+                    ("seed", &seed),
+                    ("sizes", &all_sizes),
+                    ("rows", &all_rows),
+                ]),
+            );
             println!("  (raw rows written to {path})");
         } else {
             // Directory: one file per experiment, like classic mode.
             std::fs::create_dir_all(&path).expect("create json dir");
             for (id, sizes, report) in &reports {
                 let file = format!("{path}/{id}.json");
-                let payload = serde_json::json!({
-                    "schema": sweep_schema(report.rows.iter()),
-                    "experiments": vec![id.clone()],
-                    "seed": seed,
-                    "sizes": sizes.clone(),
-                    "rows": report.rows
-                });
-                write_json(&file, &payload);
+                write_json(
+                    &file,
+                    &serde::Object(vec![
+                        ("schema", &sweep_schema(report.rows.iter())),
+                        ("experiments", &[id]),
+                        ("seed", &seed),
+                        ("sizes", sizes),
+                        ("rows", &report.rows),
+                    ]),
+                );
                 println!("  (raw rows written to {file})");
             }
         }
@@ -464,20 +469,21 @@ fn run_sweep_mode(args: &[String], ids: &str, json: Option<String>) {
         // (∀-delay) verdicts, and the exhaustive summaries for e9/e10.
         let all_certs: Vec<&sweep::Certificate> =
             reports.iter().flat_map(|(_, _, report)| &report.certificates).collect();
-        let summaries: Vec<serde_json::Value> = reports
+        let summaries: Vec<(&String, &str, Box<dyn serde::Serialize>)> = reports
             .iter()
-            .filter_map(|(id, _, report)| match id.as_str() {
-                "e9" => {
-                    Some(serde_json::json!({"experiment": id, "sizes": e9::summarize(report).0}))
-                }
-                "e10" => Some(
-                    serde_json::json!({"experiment": id, "schedules": e10::summarize(report).0}),
-                ),
-                "e11" => Some(
-                    serde_json::json!({"experiment": id, "schedules": e11::summarize(report).0}),
-                ),
-                _ => None,
+            .filter_map(|(id, _, report)| {
+                let (key, rows): (_, Box<dyn serde::Serialize>) = match id.as_str() {
+                    "e9" => ("sizes", Box::new(e9::summarize(report).0)),
+                    "e10" => ("schedules", Box::new(e10::summarize(report).0)),
+                    "e11" => ("schedules", Box::new(e11::summarize(report).0)),
+                    _ => return None,
+                };
+                Some((id, key, rows))
             })
+            .collect();
+        let summaries: Vec<serde::Object> = summaries
+            .iter()
+            .map(|(id, key, rows)| serde::Object(vec![("experiment", id), (key, &**rows)]))
             .collect();
         // Same gating as the row schema: v3 = v2 plus the optional
         // per-certificate `agents`/`start_rest` fields (ensemble
@@ -490,14 +496,16 @@ fn run_sweep_mode(args: &[String], ids: &str, json: Option<String>) {
         } else {
             "rvz-certificates/v1"
         };
-        let payload = serde_json::json!({
-            "schema": schema,
-            "experiments": reports.iter().map(|(id, _, _)| id.clone()).collect::<Vec<_>>(),
-            "seed": seed,
-            "summary": summaries,
-            "certificates": all_certs
-        });
-        write_json(&path, &payload);
+        write_json(
+            &path,
+            &serde::Object(vec![
+                ("schema", &schema),
+                ("experiments", &ids),
+                ("seed", &seed),
+                ("summary", &summaries),
+                ("certificates", &all_certs),
+            ]),
+        );
         println!("  (certificates written to {path})");
     }
 }
@@ -639,11 +647,7 @@ fn emit<R: serde::Serialize>(cfg: &Cfg, id: &str, table: &Table, rows: &R) {
     if let Some(dir) = &cfg.json {
         std::fs::create_dir_all(dir).expect("create json dir");
         let path = format!("{dir}/{id}.json");
-        let payload = serde_json::json!({
-            "table": table,
-            "rows": rows
-        });
-        write_json(&path, &payload);
+        write_json(&path, &serde::Object(vec![("table", table), ("rows", rows)]));
         println!("  (raw rows written to {path})\n");
     }
 }

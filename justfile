@@ -2,12 +2,17 @@
 # lockstep so "works on my machine" and CI mean the same thing.
 
 # Full CI-equivalent pass.
-ci: build test fmt-check clippy docs doctest docs-check ci-parity-check differential crash-test bench-json-check bench-smoke
+ci: build test fmt-check clippy docs doctest docs-check ci-parity-check perfbench-test differential crash-test bench-json-check bench-smoke
 
 # CI/justfile drift gate: every CI job maps to the just targets that
 # reproduce it (and back), and every mapped target sits in `ci:` above.
 ci-parity-check:
     scripts/check_ci_parity.sh
+
+# The perfbench harness's own tests (statistics, rusage, failure
+# counting against a stand-in binary); no build needed.
+perfbench-test:
+    python3 perfbench/tests/test_harness.py
 
 build:
     cargo build --release --workspace

@@ -24,7 +24,7 @@ status=0
 # ---- the one source of truth: CI job -> just targets -------------------
 declare -A JOB_TARGETS=(
     [build-test]="build test"
-    [lint]="fmt-check clippy docs doctest docs-check ci-parity-check"
+    [lint]="fmt-check clippy docs doctest docs-check ci-parity-check perfbench-test"
     [differential]="differential"
     [crash-resume]="crash-test worker-crash-test"
     [bench-smoke]="bench-json-check bench-smoke"

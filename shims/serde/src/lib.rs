@@ -1,15 +1,20 @@
 //! Offline API-subset shim for `serde` (see `shims/README.md`).
 //!
-//! Instead of serde's visitor architecture, [`Serialize`] converts a value
-//! into an owned JSON [`Value`] tree; `serde_json` renders and parses it.
-//! `#[derive(Serialize)]` (from the sibling `serde_derive` shim) works on
-//! non-generic structs with named fields.
+//! Instead of serde's visitor architecture, [`Serialize`] has two methods:
+//! [`Serialize::write_json`] streams the value into a [`Writer`] (the one
+//! JSON renderer, compact or pretty), and [`Serialize::to_json_value`]
+//! converts it into an owned JSON [`Value`] tree for code that inspects
+//! or edits it. `serde_json` renders through the former and parses into
+//! the latter. `#[derive(Serialize)]` (from the sibling `serde_derive`
+//! shim) works on non-generic structs with named fields and implements
+//! both methods field by field.
 
 // Let derive-generated `::serde::...` paths resolve inside this crate's
 // own tests.
 extern crate self as serde;
 
 pub use serde_derive::Serialize;
+use std::fmt::Write as _;
 
 /// A JSON value tree.
 ///
@@ -130,20 +135,218 @@ impl std::ops::Index<usize> for Value {
     }
 }
 
-/// Conversion into the JSON value model.
+/// Conversion into JSON: streamed into a [`Writer`], or built as a
+/// [`Value`] tree. Both must describe the same JSON.
 pub trait Serialize {
     fn to_json_value(&self) -> Value;
+
+    /// Streams the value into `w`. The default renders
+    /// [`Serialize::to_json_value`], so impls that only build trees keep
+    /// working; the impls below and the derive write directly.
+    fn write_json(&self, w: &mut Writer) {
+        self.to_json_value().write_json(w)
+    }
+}
+
+/// The JSON renderer: compact text, or serde_json's pretty style (two-space
+/// indent, `": "` after keys, empty containers as `[]`/`{}`), appended to
+/// an owned `String`.
+///
+/// Arrays are written whole by [`Writer::seq`]; objects are opened and
+/// closed explicitly, and [`Writer::field`] writes the separator,
+/// indentation and key before each member, so callers never handle commas.
+#[derive(Debug)]
+pub struct Writer {
+    out: String,
+    pretty: bool,
+    depth: usize,
+    /// Nothing has been written into the innermost open container yet.
+    empty: bool,
+}
+
+impl Writer {
+    /// A writer producing compact JSON.
+    pub fn compact() -> Writer {
+        Writer { out: String::new(), pretty: false, depth: 0, empty: true }
+    }
+
+    /// A writer producing two-space-indented JSON.
+    pub fn pretty() -> Writer {
+        Writer { pretty: true, ..Writer::compact() }
+    }
+
+    /// The text written so far.
+    pub fn into_string(self) -> String {
+        self.out
+    }
+
+    pub fn null(&mut self) {
+        self.out.push_str("null");
+    }
+
+    pub fn bool(&mut self, b: bool) {
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    pub fn int(&mut self, n: i64) {
+        let _ = write!(self.out, "{n}");
+    }
+
+    pub fn uint(&mut self, n: u64) {
+        let _ = write!(self.out, "{n}");
+    }
+
+    /// `{:?}` is the shortest round-trippable form and always carries a
+    /// decimal point or exponent (`1.0`); non-finite values become `null`.
+    pub fn float(&mut self, x: f64) {
+        if x.is_finite() {
+            let _ = write!(self.out, "{x:?}");
+        } else {
+            self.null();
+        }
+    }
+
+    /// A quoted, escaped string. Runs of bytes that need no escape are
+    /// copied whole; every byte that does is ASCII, so the runs split on
+    /// character boundaries.
+    pub fn str(&mut self, s: &str) {
+        self.out.push('"');
+        let mut run = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let escape = match b {
+                b'"' => Some("\\\""),
+                b'\\' => Some("\\\\"),
+                b'\n' => Some("\\n"),
+                b'\r' => Some("\\r"),
+                b'\t' => Some("\\t"),
+                0..=0x1f => None,
+                _ => continue,
+            };
+            self.out.push_str(&s[run..i]);
+            match escape {
+                Some(e) => self.out.push_str(e),
+                None => {
+                    let _ = write!(self.out, "\\u{b:04x}");
+                }
+            }
+            run = i + 1;
+        }
+        self.out.push_str(&s[run..]);
+        self.out.push('"');
+    }
+
+    /// A whole array of `items`.
+    pub fn seq<I: IntoIterator>(&mut self, items: I)
+    where
+        I::Item: Serialize,
+    {
+        self.open('[');
+        for item in items {
+            self.separator();
+            item.write_json(self);
+        }
+        self.close(']');
+    }
+
+    pub fn begin_object(&mut self) {
+        self.open('{');
+    }
+
+    /// Writes one object member.
+    pub fn field<T: Serialize + ?Sized>(&mut self, key: &str, value: &T) {
+        self.separator();
+        self.str(key);
+        self.out.push_str(if self.pretty { ": " } else { ":" });
+        value.write_json(self);
+    }
+
+    pub fn end_object(&mut self) {
+        self.close('}');
+    }
+
+    fn open(&mut self, bracket: char) {
+        self.out.push(bracket);
+        self.depth += 1;
+        self.empty = true;
+    }
+
+    fn separator(&mut self) {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        self.newline();
+    }
+
+    /// An empty container closes on the same line (`[]`, `{}`); either
+    /// way, the enclosing container now holds a member.
+    fn close(&mut self, bracket: char) {
+        self.depth -= 1;
+        if !self.empty {
+            self.newline();
+        }
+        self.empty = false;
+        self.out.push(bracket);
+    }
+
+    fn newline(&mut self) {
+        if self.pretty {
+            self.out.push('\n');
+            self.out.extend(std::iter::repeat_n(' ', 2 * self.depth));
+        }
+    }
+}
+
+/// A JSON object of borrowed values, serialized on demand: a payload
+/// assembled from existing structs without building a [`Value`] tree.
+pub struct Object<'a>(pub Vec<(&'a str, &'a dyn Serialize)>);
+
+impl Serialize for Object<'_> {
+    fn to_json_value(&self) -> Value {
+        Value::Object(self.0.iter().map(|(k, v)| (k.to_string(), v.to_json_value())).collect())
+    }
+
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_object();
+        for (k, v) in &self.0 {
+            w.field(k, *v);
+        }
+        w.end_object();
+    }
 }
 
 impl Serialize for Value {
     fn to_json_value(&self) -> Value {
         self.clone()
     }
+
+    fn write_json(&self, w: &mut Writer) {
+        match self {
+            Value::Null => w.null(),
+            Value::Bool(b) => w.bool(*b),
+            Value::Int(n) => w.int(*n),
+            Value::UInt(n) => w.uint(*n),
+            Value::Float(x) => w.float(*x),
+            Value::Str(s) => w.str(s),
+            Value::Array(items) => w.seq(items),
+            Value::Object(fields) => {
+                w.begin_object();
+                for (k, v) in fields {
+                    w.field(k, v);
+                }
+                w.end_object();
+            }
+        }
+    }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_json_value(&self) -> Value {
         (**self).to_json_value()
+    }
+
+    fn write_json(&self, w: &mut Writer) {
+        (**self).write_json(w)
     }
 }
 
@@ -154,11 +357,19 @@ impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
     fn to_json_value(&self) -> Value {
         (**self).to_json_value()
     }
+
+    fn write_json(&self, w: &mut Writer) {
+        (**self).write_json(w)
+    }
 }
 
 impl<T: Serialize + ?Sized> Serialize for std::rc::Rc<T> {
     fn to_json_value(&self) -> Value {
         (**self).to_json_value()
+    }
+
+    fn write_json(&self, w: &mut Writer) {
+        (**self).write_json(w)
     }
 }
 
@@ -167,6 +378,10 @@ macro_rules! impl_serialize_signed {
         impl Serialize for $t {
             fn to_json_value(&self) -> Value {
                 Value::Int(*self as i64)
+            }
+
+            fn write_json(&self, w: &mut Writer) {
+                w.int(*self as i64)
             }
         }
     )*};
@@ -177,6 +392,10 @@ macro_rules! impl_serialize_unsigned {
         impl Serialize for $t {
             fn to_json_value(&self) -> Value {
                 Value::UInt(*self as u64)
+            }
+
+            fn write_json(&self, w: &mut Writer) {
+                w.uint(*self as u64)
             }
         }
     )*};
@@ -189,11 +408,19 @@ impl Serialize for f64 {
     fn to_json_value(&self) -> Value {
         Value::Float(*self)
     }
+
+    fn write_json(&self, w: &mut Writer) {
+        w.float(*self)
+    }
 }
 
 impl Serialize for f32 {
     fn to_json_value(&self) -> Value {
         Value::Float(*self as f64)
+    }
+
+    fn write_json(&self, w: &mut Writer) {
+        w.float(*self as f64)
     }
 }
 
@@ -201,17 +428,29 @@ impl Serialize for bool {
     fn to_json_value(&self) -> Value {
         Value::Bool(*self)
     }
+
+    fn write_json(&self, w: &mut Writer) {
+        w.bool(*self)
+    }
 }
 
 impl Serialize for str {
     fn to_json_value(&self) -> Value {
         Value::Str(self.to_string())
     }
+
+    fn write_json(&self, w: &mut Writer) {
+        w.str(self)
+    }
 }
 
 impl Serialize for String {
     fn to_json_value(&self) -> Value {
         Value::Str(self.clone())
+    }
+
+    fn write_json(&self, w: &mut Writer) {
+        w.str(self)
     }
 }
 
@@ -222,11 +461,22 @@ impl<T: Serialize> Serialize for Option<T> {
             None => Value::Null,
         }
     }
+
+    fn write_json(&self, w: &mut Writer) {
+        match self {
+            Some(v) => v.write_json(w),
+            None => w.null(),
+        }
+    }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_json_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_json_value).collect())
+        self.as_slice().to_json_value()
+    }
+
+    fn write_json(&self, w: &mut Writer) {
+        w.seq(self)
     }
 }
 
@@ -234,11 +484,19 @@ impl<T: Serialize> Serialize for [T] {
     fn to_json_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_json_value).collect())
     }
+
+    fn write_json(&self, w: &mut Writer) {
+        w.seq(self)
+    }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn to_json_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_json_value).collect())
+        self.as_slice().to_json_value()
+    }
+
+    fn write_json(&self, w: &mut Writer) {
+        w.seq(self)
     }
 }
 
@@ -284,6 +542,29 @@ mod tests {
         // Present values serialize in declaration order, between a and c.
         assert_eq!(fields.iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>(), ["a", "b", "c"]);
         assert_eq!(some["b"].as_str(), Some("x"));
+    }
+
+    #[test]
+    fn derive_streams_the_object_its_tree_describes() {
+        #[derive(Serialize)]
+        struct Row {
+            a: u64,
+            #[serde(skip_serializing_if = "Option::is_none")]
+            b: Option<String>,
+            c: Vec<i32>,
+        }
+        let render = |v: &dyn Serialize| {
+            let mut w = Writer::compact();
+            v.write_json(&mut w);
+            w.into_string()
+        };
+        for (row, text) in [
+            (Row { a: 1, b: None, c: vec![] }, r#"{"a":1,"c":[]}"#),
+            (Row { a: 2, b: Some("x".into()), c: vec![-1, 2] }, r#"{"a":2,"b":"x","c":[-1,2]}"#),
+        ] {
+            assert_eq!(render(&row), text);
+            assert_eq!(render(&row.to_json_value()), text);
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Offline shim for `serde_derive` (see `shims/README.md`).
 //!
 //! Hand-rolled token parsing (no `syn`/`quote` available offline): supports
-//! `#[derive(Serialize)]` on non-generic structs with named fields, plus
+//! `#[derive(Serialize)]` on non-generic structs with named fields — both
+//! `to_json_value` and a field-by-field streaming `write_json` — plus
 //! the field attribute `#[serde(skip_serializing_if = "path")]` (the one
 //! knob the workspace uses to add optional fields without disturbing the
 //! serialized shape of existing rows). Anything else is a compile error
@@ -54,19 +55,26 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     }
     let fields = fields.expect("serde shim: expected named-field struct body");
 
-    let entries: String = fields
-        .iter()
-        .map(|(f, skip_if)| {
-            let push = format!(
+    // Both methods visit the fields in declaration order and apply the
+    // same `skip_serializing_if` predicates, so the streamed text and the
+    // tree describe the same object.
+    let guarded = |f: &str, skip_if: &Option<String>, stmt: String| match skip_if {
+        None => stmt,
+        Some(pred) => format!("if !{pred}(&self.{f}) {{ {stmt} }}"),
+    };
+    let mut entries = String::new();
+    let mut writes = String::new();
+    for (f, skip_if) in &fields {
+        entries += &guarded(
+            f,
+            skip_if,
+            format!(
                 "fields.push((::std::string::String::from(\"{f}\"), \
                  ::serde::Serialize::to_json_value(&self.{f})));"
-            );
-            match skip_if {
-                None => push,
-                Some(pred) => format!("if !{pred}(&self.{f}) {{ {push} }}"),
-            }
-        })
-        .collect();
+            ),
+        );
+        writes += &guarded(f, skip_if, format!("w.field(\"{f}\", &self.{f});"));
+    }
     let out = format!(
         "impl ::serde::Serialize for {name} {{\n\
              fn to_json_value(&self) -> ::serde::Value {{\n\
@@ -74,6 +82,11 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                      ::std::vec::Vec::new();\n\
                  {entries}\n\
                  ::serde::Value::Object(fields)\n\
+             }}\n\
+             fn write_json(&self, w: &mut ::serde::Writer) {{\n\
+                 w.begin_object();\n\
+                 {writes}\n\
+                 w.end_object();\n\
              }}\n\
          }}"
     );

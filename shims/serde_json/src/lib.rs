@@ -1,11 +1,13 @@
 //! Offline API-subset shim for `serde_json` (see `shims/README.md`).
 //!
-//! Renders and parses the [`serde::Value`] model: `to_value`, `to_string`,
-//! `to_string_pretty`, `from_str`, and a `json!` macro for flat object /
-//! array literals (nested literals must themselves be wrapped in `json!`).
+//! Renders any [`Serialize`] value through the streaming [`serde::Writer`]
+//! (`to_string`, `to_string_pretty`), converts it to the [`serde::Value`]
+//! model (`to_value`), parses text into that model (`from_str`), and
+//! builds it with a `json!` macro for flat object / array literals (nested
+//! literals must themselves be wrapped in `json!`).
 
-use serde::Serialize;
 pub use serde::Value;
+use serde::{Serialize, Writer};
 use std::fmt;
 
 /// Parse / serialize error.
@@ -39,16 +41,16 @@ pub fn to_value<T: Serialize + ?Sized>(v: &T) -> Value {
 
 /// Compact JSON text.
 pub fn to_string<T: Serialize + ?Sized>(v: &T) -> Result<String> {
-    let mut out = String::new();
-    write_value(&mut out, &v.to_json_value(), None, 0);
-    Ok(out)
+    let mut w = Writer::compact();
+    v.write_json(&mut w);
+    Ok(w.into_string())
 }
 
 /// Two-space-indented JSON text (serde_json's pretty style).
 pub fn to_string_pretty<T: Serialize + ?Sized>(v: &T) -> Result<String> {
-    let mut out = String::new();
-    write_value(&mut out, &v.to_json_value(), Some(2), 0);
-    Ok(out)
+    let mut w = Writer::pretty();
+    v.write_json(&mut w);
+    Ok(w.into_string())
 }
 
 /// Parses JSON text into a [`Value`].
@@ -80,86 +82,6 @@ macro_rules! json {
         ])
     };
     ($other:expr) => { $crate::to_value(&$other) };
-}
-
-fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Int(n) => out.push_str(&n.to_string()),
-        Value::UInt(n) => out.push_str(&n.to_string()),
-        Value::Float(x) => {
-            if x.is_finite() {
-                // `{:?}` prints the shortest round-trippable form, always
-                // with a decimal point or exponent (e.g. `1.0`).
-                out.push_str(&format!("{x:?}"));
-            } else {
-                out.push_str("null");
-            }
-        }
-        Value::Str(s) => write_string(out, s),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_value(out, item, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push(']');
-        }
-        Value::Object(fields) => {
-            if fields.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (k, val)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_string(out, k);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, val, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push('}');
-        }
-    }
-}
-
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(w) = indent {
-        out.push('\n');
-        out.push_str(&" ".repeat(w * depth));
-    }
-}
-
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 struct Parser<'a> {
@@ -308,12 +230,17 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Advance over one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error::new("invalid UTF-8", self.pos))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash whole.
+                    // Both are ASCII, so the run ends on a character
+                    // boundary, and each byte is validated once.
+                    let len = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - start);
+                    let run = std::str::from_utf8(&self.bytes[start..start + len])
+                        .map_err(|e| Error::new("invalid UTF-8", start + e.valid_up_to()))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -394,5 +321,41 @@ mod tests {
     fn pretty_style_matches_serde_json() {
         let v = json!({ "a": 1u64 });
         assert_eq!(to_string_pretty(&v).unwrap(), "{\n  \"a\": 1\n}");
+    }
+
+    #[test]
+    fn empty_containers_stay_on_one_line() {
+        let v = json!({"a": json!([]), "b": json!([json!({}), 2u64])});
+        assert_eq!(to_string(&v).unwrap(), r#"{"a":[],"b":[{},2]}"#);
+        assert_eq!(
+            to_string_pretty(&v).unwrap(),
+            "{\n  \"a\": [],\n  \"b\": [\n    {},\n    2\n  ]\n}"
+        );
+        assert_eq!(to_string_pretty(&json!([])).unwrap(), "[]");
+    }
+
+    #[test]
+    fn control_characters_are_escaped() {
+        let s = to_string(&"q\"b\\n\nr\rt\t\u{0}\u{1f}\u{7f}é").unwrap();
+        // DEL and non-ASCII characters pass through unescaped.
+        assert_eq!(s, "\"q\\\"b\\\\n\\nr\\rt\\t\\u0000\\u001f\u{7f}é\"");
+    }
+
+    #[test]
+    fn multi_byte_utf8_round_trips() {
+        let text = "é漢🦀 mixed with ascii, \"escapes\" and 🦀🦀 at the end🦀";
+        for v in [Value::Str(text.into()), json!({ "k漢": text, "🦀": json!([text, ""]) })] {
+            for s in [to_string(&v).unwrap(), to_string_pretty(&v).unwrap()] {
+                assert_eq!(from_str(&s).unwrap(), v, "text was: {s}");
+            }
+        }
+    }
+
+    #[test]
+    fn long_strings_parse_in_one_pass() {
+        // Quadratic scanning would take minutes on 4 MiB.
+        let text = "ab漢🦀".repeat(1 << 19);
+        let v = from_str(&to_string(&text).unwrap()).unwrap();
+        assert_eq!(v.as_str(), Some(text.as_str()));
     }
 }
