@@ -74,16 +74,28 @@ pub trait Agent {
         "agent"
     }
 
-    /// `true` once the agent has entered an *absorbing* state: every future
-    /// [`Agent::act`] call will return [`Action::Stay`] and leave all
-    /// observable state — including the memory meter — unchanged. The
-    /// trace-replay machinery (`rvz_sim::trace`) uses this to close a
-    /// recorded trajectory with an O(1) fixed-point tail instead of
-    /// stepping a parked agent to the round budget. Conservative default:
-    /// `false` (an agent that never reports halting is merely recorded
-    /// further, never misreplayed).
-    fn halted(&self) -> bool {
-        false
+    /// Fast-forward hint: the next `k` [`Agent::act`] calls all return
+    /// [`Action::Stay`] whatever they observe, and leave every memory
+    /// meter unchanged. [`u64::MAX`] means the agent is *absorbing*: it
+    /// stays put forever. The trace recorder (`rvz_sim::trace`) jumps an
+    /// idle span in O(1) with [`Agent::skip_idle`] and closes a recording
+    /// with a fixed-point tail once the agent is absorbing. Conservative
+    /// default: `0` (an agent that reports no span is merely stepped round
+    /// by round, never misrecorded).
+    fn idle_span(&self) -> u64 {
+        0
+    }
+
+    /// Has exactly the effect of `k` [`Agent::act`] calls inside the
+    /// current idle span; panics if `k` exceeds [`Agent::idle_span`]. The
+    /// default suits agents whose span is always `0` or [`u64::MAX`]
+    /// (nothing changes); an agent with finite spans must override it.
+    fn skip_idle(&mut self, k: u64) {
+        assert!(
+            k == 0 || self.idle_span() == u64::MAX,
+            "skip_idle({k}) past the idle span {}",
+            self.idle_span()
+        );
     }
 }
 

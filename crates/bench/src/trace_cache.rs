@@ -11,7 +11,10 @@
 //! same grid (benchmark repetitions, overlapping experiments) share all of
 //! them, and recordings grow on demand — `replay_pair` reports how many
 //! rounds it actually needed and [`VariantRecorder::record_to`] extends
-//! the prefix in place, never re-stepping it.
+//! the prefix in place, never re-stepping it. Extending costs one step
+//! per active round and one per idle span (`Agent::idle_span`): the
+//! delay-robust agent's passive windows, most of its rounds, are jumped
+//! in O(1), so its recordings cost time in proportion to its tours.
 //!
 //! Bounds: a recording is never grown past [`MAX_RECORD_ROUNDS`] (cells
 //! that stay undecided there fall back to the dyn-stepping path — in
@@ -35,10 +38,13 @@ use rvz_trees::{NodeId, Tree};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Hard per-trajectory recording cap (rounds). At 16 bytes per RLE run
-/// this bounds a worst-case (move-every-round) recording at ~128 MiB;
-/// every workload in the perf grids decides orders of magnitude earlier
-/// (stay-heavy schedules compress to a handful of runs per period).
+/// Hard per-trajectory recording cap (rounds of recorded horizon). At 16
+/// bytes per RLE run this bounds a worst-case (move-every-round) recording
+/// at ~128 MiB; every workload in the perf grids decides orders of
+/// magnitude earlier. Stay-heavy schedules compress to a handful of runs
+/// per period and, where the agent reports idle spans, record in a
+/// handful of steps per period too; for those the cap bounds memory
+/// rather than time.
 pub(crate) const MAX_RECORD_ROUNDS: u64 = 1 << 23;
 
 /// Store capacity in trajectories — the cache's memory bound; a full

@@ -169,6 +169,27 @@ impl Agent for DelayRobustAgent {
     fn name(&self) -> &'static str {
         "delay-robust-baseline"
     }
+
+    /// Once the window's tour is done, the agent stays home through the
+    /// end of the period, and the meter counts constants only.
+    fn idle_span(&self) -> u64 {
+        match &self.phase {
+            BPhase::Schedule { pos, period, tour_moves_left: 0, .. } => period - pos,
+            _ => 0,
+        }
+    }
+
+    fn skip_idle(&mut self, k: u64) {
+        let span = self.idle_span();
+        assert!(k <= span, "skip_idle({k}) past the idle span {span}");
+        if let BPhase::Schedule { pos, period, tour_moves_left, n, .. } = &mut self.phase {
+            *pos += k;
+            if *pos == *period {
+                *pos = 0;
+                *tour_moves_left = 4 * (*n - 1);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -176,11 +197,11 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use rvz_sim::{run_pair, PairConfig};
+    use rvz_sim::{run_pair, Cursor, PairConfig};
     use rvz_trees::generators::{
         colored_line_center_zero, line, random_relabel, random_tree, spider,
     };
-    use rvz_trees::perfectly_symmetrizable;
+    use rvz_trees::{perfectly_symmetrizable, NodeId, Tree};
 
     fn budget(n: u64) -> u64 {
         // Two full periods of the slowest agent's schedule, conservatively:
@@ -292,5 +313,115 @@ mod tests {
             // O(log n) with a modest constant: period ≤ 8n·q, q = O(n log n).
             assert!(bits <= 8 * rvz_agent::bits_for(n as u64) + 40, "n={n}: {bits} bits");
         }
+    }
+
+    /// What a plain-`act` run leaves after one activation.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Snap {
+        action: Action,
+        cursor: Cursor,
+        measured: u64,
+        charged: u64,
+        /// `(pos, tour_moves_left)` once scheduling.
+        schedule: Option<(u64, u64)>,
+    }
+
+    impl Snap {
+        fn of(agent: &DelayRobustAgent, action: Action, cursor: Cursor) -> Self {
+            let schedule = match agent.phase {
+                BPhase::Schedule { pos, tour_moves_left, .. } => Some((pos, tour_moves_left)),
+                BPhase::Explo(_) => None,
+            };
+            Snap {
+                action,
+                cursor,
+                measured: agent.memory_bits_measured(),
+                charged: agent.memory_bits(),
+                schedule,
+            }
+        }
+    }
+
+    /// Steps one agent with plain `act` through Explo and three full
+    /// periods, then replays the run with a twin that jumps every idle
+    /// span by `skip_idle`. At each span start, every partial skip
+    /// `1..=span` (and its completion) must land on the plain run's state.
+    /// Returns the number of spans jumped.
+    fn assert_skip_idle_is_act(t: &Tree, start: NodeId) -> usize {
+        let mut agent = DelayRobustAgent::new();
+        let mut cursor = Cursor::new(start);
+        let mut hist = vec![Snap::of(&agent, Action::Stay, cursor)];
+        let mut scheduled = 0;
+        loop {
+            let action = agent.act(cursor.obs(t));
+            cursor.apply(t, action);
+            hist.push(Snap::of(&agent, action, cursor));
+            if let BPhase::Schedule { period, .. } = agent.phase {
+                scheduled += 1;
+                if scheduled == 3 * period {
+                    break;
+                }
+            }
+        }
+        let mut twin = DelayRobustAgent::new();
+        let mut cursor = Cursor::new(start);
+        let (mut r, mut spans) = (0, 0);
+        while r + 1 < hist.len() {
+            let span = twin.idle_span();
+            if span == 0 {
+                let action = twin.act(cursor.obs(t));
+                cursor.apply(t, action);
+                r += 1;
+                assert_eq!(Snap::of(&twin, action, cursor), hist[r], "act at {r}");
+                continue;
+            }
+            let span = span as usize;
+            assert!(r + span < hist.len(), "the run ends on a period boundary");
+            for k in 1..=span {
+                let mut part = twin.clone();
+                part.skip_idle(k as u64);
+                let mut at = cursor;
+                at.apply(t, Action::Stay);
+                assert_eq!(Snap::of(&part, Action::Stay, at), hist[r + k], "skip {k} at {r}");
+                if let Some(next) = hist.get(r + k + 1) {
+                    assert_eq!(part.clone().act(at.obs(t)), next.action, "act after skip {k}");
+                }
+                part.skip_idle((span - k) as u64);
+                assert_eq!(Snap::of(&part, Action::Stay, at), hist[r + span], "resume at {r}");
+            }
+            twin.skip_idle(span as u64);
+            cursor.apply(t, Action::Stay);
+            r += span;
+            spans += 1;
+        }
+        spans
+    }
+
+    #[test]
+    fn skip_idle_has_exactly_the_effect_of_act() {
+        let mut rng = StdRng::seed_from_u64(14);
+        let mut trees: Vec<Tree> = [2, 5, 8].map(line).into();
+        trees.extend([spider(3, 1), spider(3, 2), spider(3, 3)]);
+        trees.extend([7, 9, 11].map(|n| random_relabel(&random_tree(n, &mut rng), &mut rng)));
+        for t in &trees {
+            for start in 0..t.num_nodes() as NodeId {
+                let spans = assert_skip_idle_is_act(t, start);
+                assert!(spans >= 3, "n={} start={start}: one span per period", t.num_nodes());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "past the idle span")]
+    fn skip_idle_past_the_span_panics() {
+        let t = line(4);
+        let mut agent = DelayRobustAgent::new();
+        let mut cursor = Cursor::new(1);
+        while agent.idle_span() == 0 {
+            let action = agent.act(cursor.obs(&t));
+            cursor.apply(&t, action);
+        }
+        let span = agent.idle_span();
+        agent.skip_idle(span + 1);
     }
 }

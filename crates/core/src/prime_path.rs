@@ -200,8 +200,12 @@ impl Agent for PrimePathAgent {
 
     /// `Finished` (the bounded `prime(i)` after its last sweep) is
     /// absorbing: the agent stays forever and the meter is frozen.
-    fn halted(&self) -> bool {
-        self.finished()
+    fn idle_span(&self) -> u64 {
+        if self.finished() {
+            u64::MAX
+        } else {
+            0
+        }
     }
 
     fn name(&self) -> &'static str {

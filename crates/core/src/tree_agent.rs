@@ -136,7 +136,6 @@ pub struct TreeRendezvousAgent {
     max_i: u32,
     max_j: u64,
     max_prime: u64,
-    rounds: u64,
 }
 
 impl Default for TreeRendezvousAgent {
@@ -163,7 +162,6 @@ impl TreeRendezvousAgent {
             max_i: 1,
             max_j: 0,
             max_prime: 2,
-            rounds: 0,
         }
     }
 
@@ -409,7 +407,6 @@ impl TreeRendezvousAgent {
 
 impl Agent for TreeRendezvousAgent {
     fn act(&mut self, obs: Obs) -> Action {
-        self.rounds += 1;
         self.advance(obs)
     }
 
@@ -422,10 +419,13 @@ impl Agent for TreeRendezvousAgent {
     }
 
     /// The Stage-2 wait-forever state is absorbing: the agent stays put and
-    /// every meter high-water mark is frozen (only the uncounted `rounds`
-    /// diagnostic keeps ticking).
-    fn halted(&self) -> bool {
-        self.waiting()
+    /// every meter high-water mark is frozen.
+    fn idle_span(&self) -> u64 {
+        if self.waiting() {
+            u64::MAX
+        } else {
+            0
+        }
     }
 }
 

@@ -20,11 +20,14 @@
 //!   span neither agent moves, so no meeting (positions are unequal and
 //!   constant) and no crossing (a crossing requires both agents to move)
 //!   can occur.
-//! * **Fixed-point tails.** An agent that reports [`Agent::halted`] (e.g.
-//!   the Theorem-4.1 agent parked in its wait-forever stage) freezes its
-//!   timeline: the suffix costs O(1) storage and the merge can declare
-//!   `Timeout` without walking to the round budget — even when the budget
-//!   is in the billions.
+//! * **Idle spans and fixed-point tails.** An agent that reports an idle
+//!   span ([`Agent::idle_span`]; e.g. the delay-robust baseline between
+//!   its active tours) is recorded through it in O(1), not round by round.
+//!   An absorbing agent (span `u64::MAX`; e.g. the Theorem-4.1 agent
+//!   parked in its wait-forever stage) freezes its timeline: the suffix
+//!   costs O(1) storage and the merge can declare `Timeout` without
+//!   walking to the round budget — even when the budget is in the
+//!   billions.
 //! * **Prefix stability.** Recording more rounds never changes the rounds
 //!   already recorded, so trajectories can be extended on demand
 //!   ([`TraceRecorder::record_to`]) and cached across questions; replay
@@ -39,7 +42,7 @@
 
 use crate::runner::{pair_index, Cursor, EnsembleRun, Outcome, PairConfig, PairRun};
 use crate::schedule::{ActivationIndex, EnsembleSchedule, Schedule};
-use rvz_agent::model::Agent;
+use rvz_agent::model::{Action, Agent};
 use rvz_trees::{NodeId, Port, Tree};
 
 /// One maximal constant-node run of a trajectory: the agent sits at `node`
@@ -61,8 +64,8 @@ pub struct BitsMark {
 
 /// A recorded single-agent timeline: the node occupied after every round,
 /// run-length encoded, plus the memory-meter change points. `fixed` marks a
-/// fixed-point tail: the agent halted, so the last node (and the last bits
-/// mark) extend to every future round.
+/// fixed-point tail: the agent is absorbing, so the last node (and the last
+/// bits mark) extend to every future round.
 #[derive(Debug, Clone)]
 pub struct Trajectory {
     start: NodeId,
@@ -95,8 +98,8 @@ impl Trajectory {
         self.rounds
     }
 
-    /// `true` when the timeline is frozen: the agent halted, so every round
-    /// beyond [`Trajectory::rounds`] repeats the last node.
+    /// `true` when the timeline is frozen: the agent is absorbing, so every
+    /// round beyond [`Trajectory::rounds`] repeats the last node.
     pub fn is_fixed(&self) -> bool {
         self.fixed
     }
@@ -123,8 +126,9 @@ impl Trajectory {
         self.runs.last().map_or(self.start, |r| r.node)
     }
 
-    fn push(&mut self, node: NodeId) {
-        self.rounds += 1;
+    /// Appends `k ≥ 1` rounds spent at `node`.
+    fn push(&mut self, node: NodeId, k: u64) {
+        self.rounds += k;
         match self.runs.last_mut() {
             Some(run) if run.node == node => run.end = self.rounds,
             _ => self.runs.push(Run { node, end: self.rounds }),
@@ -176,7 +180,7 @@ impl Trajectory {
 
     /// Meter reading after `acts` activations. Beyond the recorded horizon
     /// the last mark applies (valid for fixed tails, where the contract of
-    /// [`Agent::halted`] freezes the meter).
+    /// [`Agent::idle_span`] freezes the meter).
     pub fn bits_at(&self, acts: u64) -> u64 {
         let i = self.bits.partition_point(|m| m.acts <= acts);
         self.bits[i - 1].bits
@@ -343,20 +347,38 @@ impl<A: Agent> TraceRecorder<A> {
     }
 
     /// Extends the recording through round `rounds` (no-op if already
-    /// there, or if the agent halted earlier — the fixed tail answers every
-    /// later round).
+    /// there, or if the agent became absorbing earlier — the fixed tail
+    /// answers every later round). An idle span ([`Agent::idle_span`]) is
+    /// recorded in O(1): one `Stay` on the cursor, one run extension, one
+    /// [`Agent::skip_idle`].
     pub fn record_to(&mut self, t: &Tree, rounds: u64) {
+        let mut steps = 0u64;
+        let mut span = self.agent.idle_span();
         while self.traj.rounds < rounds && !self.traj.fixed {
-            if self.traj.rounds & 0xFFF == 0 {
+            // Counted by loop iterations, not rounds: a jump can step over
+            // every multiple of 4096.
+            if steps & 0xFFF == 0 {
                 crate::cancel::checkpoint();
             }
-            let action = self.agent.act(self.cursor.obs(t));
+            steps += 1;
+            let k = match span {
+                0 => 0,
+                // Absorbing from the outset: record one round, as `act`
+                // would, and close the tail below.
+                u64::MAX => 1,
+                span => span.min(rounds - self.traj.rounds),
+            };
+            let action = if k == 0 {
+                self.agent.act(self.cursor.obs(t))
+            } else {
+                self.agent.skip_idle(k);
+                Action::Stay
+            };
             self.cursor.apply(t, action);
-            self.traj.push(self.cursor.node);
+            self.traj.push(self.cursor.node, k.max(1));
             self.traj.mark_bits((self.bits_fn)(&self.agent));
-            if self.agent.halted() {
-                self.traj.fixed = true;
-            }
+            span = self.agent.idle_span();
+            self.traj.fixed = span == u64::MAX;
         }
     }
 }
@@ -959,8 +981,12 @@ mod tests {
         fn memory_bits(&self) -> u64 {
             0
         }
-        fn halted(&self) -> bool {
-            self.moves == 0
+        fn idle_span(&self) -> u64 {
+            if self.moves == 0 {
+                u64::MAX
+            } else {
+                0
+            }
         }
     }
 
@@ -1405,6 +1431,184 @@ mod tests {
                     assert!(traj.position(traj.rounds()).is_some());
                 }
             }
+        }
+    }
+
+    /// Walks `walk` rounds, then pauses `pause` rounds (reporting the rest
+    /// of the pause as an idle span), `cycles` times over; then parks for
+    /// good. Its meter counts the moves made, so bits marks change while
+    /// it walks and never inside a pause.
+    #[derive(Clone)]
+    struct PauseWalker {
+        walk: u64,
+        pause: u64,
+        cycles: u64,
+        pos: u64,
+        done: u64,
+        moves: u64,
+    }
+
+    impl PauseWalker {
+        fn new(walk: u64, pause: u64, cycles: u64) -> Self {
+            PauseWalker { walk, pause, cycles, pos: 0, done: 0, moves: 0 }
+        }
+
+        fn advance(&mut self, k: u64) {
+            self.pos += k;
+            if self.pos == self.walk + self.pause {
+                self.pos = 0;
+                self.done += 1;
+            }
+        }
+    }
+
+    impl Agent for PauseWalker {
+        fn act(&mut self, obs: Obs) -> Action {
+            if self.done == self.cycles {
+                return Action::Stay;
+            }
+            let action = if self.pos < self.walk {
+                self.moves += 1;
+                Action::Move(bw_exit(obs.entry, obs.degree))
+            } else {
+                Action::Stay
+            };
+            self.advance(1);
+            action
+        }
+        fn memory_bits(&self) -> u64 {
+            self.moves
+        }
+        fn idle_span(&self) -> u64 {
+            if self.done == self.cycles {
+                u64::MAX
+            } else if self.pos >= self.walk {
+                self.walk + self.pause - self.pos
+            } else {
+                0
+            }
+        }
+        fn skip_idle(&mut self, k: u64) {
+            let span = self.idle_span();
+            assert!(k <= span, "skip_idle({k}) past the idle span {span}");
+            if span != u64::MAX {
+                self.advance(k);
+            }
+        }
+    }
+
+    /// Hides every finite idle span and reports only absorption: the
+    /// round-by-round recording idle spans must reproduce.
+    struct NoSpans<A>(A);
+
+    impl<A: Agent> Agent for NoSpans<A> {
+        fn act(&mut self, obs: Obs) -> Action {
+            self.0.act(obs)
+        }
+        fn memory_bits(&self) -> u64 {
+            self.0.memory_bits()
+        }
+        fn idle_span(&self) -> u64 {
+            if self.0.idle_span() == u64::MAX {
+                u64::MAX
+            } else {
+                0
+            }
+        }
+    }
+
+    #[test]
+    fn idle_spans_record_the_bytes_stepping_records() {
+        let t = spider(3, 3);
+        for (walk, pause, cycles) in [(3, 5, 4), (2, 9, 3), (4, 0, 2), (1, 1, 6), (5, 30, 2)] {
+            // The agent becomes absorbing after exactly `end` rounds.
+            let end = cycles * (walk + pause);
+            for start in [0, 4, 9] {
+                let agent = PauseWalker::new(walk, pause, cycles);
+                let mut fast = TraceRecorder::new(start, agent.clone(), Agent::memory_bits);
+                let mut slow = TraceRecorder::new(start, NoSpans(agent), Agent::memory_bits);
+                // Resumed targets: mid-pause stops, the absorbing round
+                // itself, and beyond it.
+                let mid = walk + pause / 2;
+                let mut targets =
+                    [1, walk + 1, mid, mid + 1, end - pause / 2, end - 1, end, end + 7];
+                targets.sort();
+                for target in targets {
+                    fast.record_to(&t, target);
+                    slow.record_to(&t, target);
+                    let (f, s) = (fast.trajectory(), slow.trajectory());
+                    assert_eq!(f.to_bytes(), s.to_bytes(), "{walk}/{pause}/{cycles} to {target}");
+                    assert_eq!(f.is_fixed(), target >= end, "absorbing at round {end}");
+                }
+            }
+        }
+        // Absorbing from the outset: one round is recorded, as `act` would
+        // record it, and the tail closes behind it.
+        let traj = record(&t, 4, PauseWalker::new(1, 1, 0), 50);
+        assert!(traj.is_fixed());
+        assert_eq!(traj.rounds(), 1);
+        // A span is one step whatever its length: a trillion-round pause
+        // records instantly, in one run per pause.
+        let pause = 1 << 40;
+        let traj = record(&t, 0, PauseWalker::new(2, pause, 3), u64::MAX);
+        assert!(traj.is_fixed());
+        assert_eq!(traj.rounds(), 3 * (2 + pause));
+        assert_eq!(traj.num_runs(), 6);
+    }
+
+    #[test]
+    fn long_recordings_still_reach_the_cancel_checkpoint() {
+        use crate::cancel::{silence_cancelled_panics, CancelGuard};
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+
+        /// Raises the cancellation flag at its `trip`-th activation.
+        struct Tripwire<A> {
+            inner: A,
+            acts: u64,
+            trip: u64,
+            flag: Arc<AtomicBool>,
+        }
+        impl<A: Agent> Agent for Tripwire<A> {
+            fn act(&mut self, obs: Obs) -> Action {
+                self.acts += 1;
+                if self.acts == self.trip {
+                    self.flag.store(true, Ordering::Relaxed);
+                }
+                self.inner.act(obs)
+            }
+            fn memory_bits(&self) -> u64 {
+                0
+            }
+            fn idle_span(&self) -> u64 {
+                self.inner.idle_span()
+            }
+            fn skip_idle(&mut self, k: u64) {
+                self.inner.skip_idle(k)
+            }
+        }
+
+        silence_cancelled_panics();
+        let t = line(8);
+        let trip = 10_000;
+        // A never-idle walker, and one in 4096-round cycles whose jumps
+        // straddle every multiple of 4096 rounds (it starts mid-pause), so
+        // a poll keyed to the round count would never come. Each target is
+        // long enough that the recording cannot finish before the trip.
+        let paused = PauseWalker { pos: 2, ..PauseWalker::new(1, 4095, u64::MAX) };
+        let walkers = [(PauseWalker::new(1, 0, u64::MAX), 1 << 24), (paused, 1 << 30)];
+        for (inner, target) in walkers {
+            let flag = Arc::new(AtomicBool::new(false));
+            let _guard = CancelGuard::install(Arc::clone(&flag));
+            let pause = inner.pause;
+            let agent = Tripwire { inner, acts: 0, trip, flag };
+            let mut rec = TraceRecorder::new(3, agent, |_| 0);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                rec.record_to(&t, target);
+            }))
+            .expect_err("the watchdog flag must stop the recording");
+            assert!(CancelGuard::is_cancelled_payload(&*caught));
+            assert!(rec.agent.acts - trip <= 4096, "pause {pause}: polled every 4096 steps");
         }
     }
 }

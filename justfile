@@ -161,7 +161,8 @@ bench-json-check:
     jq -e '.sweep_cells.speedup and .sweep_cells_variants.speedup and .decide_cells.speedup and .ensemble_cells.speedup' BENCH_sweep.json > /dev/null
 
 # Compile benches, run each once (`--test` mode), emit BENCH_sweep.json,
-# plus the tiny deterministic sweep CI runs.
+# plus the tiny deterministic sweep CI runs and the replay-vs-stepping cmp
+# on the delay-robust-heavy grids (e6 at n up to 512, e1, e5).
 bench-smoke:
     cargo bench --workspace --no-run
     cargo bench --workspace -- --test
@@ -172,6 +173,12 @@ bench-smoke:
     cmp bench-smoke/e6.json bench-smoke/e6-t1.json
     cargo run --release --bin experiments -- --experiment e6 --sizes 8,16 --threads 2 --executor stepping --json bench-smoke/e6-stepping.json
     cmp bench-smoke/e6.json bench-smoke/e6-stepping.json
+    for ex in replay stepping; do \
+      cargo run --release --bin experiments -- --experiment e6 --sizes 64,128,256,512 --pairs 8 --threads 2 --executor "$ex" --json "bench-smoke/e6-large-$ex.json"; \
+      cargo run --release --bin experiments -- --experiment e1,e5 --threads 2 --executor "$ex" --json "bench-smoke/e1-e5-$ex.json"; \
+    done
+    cmp bench-smoke/e6-large-replay.json bench-smoke/e6-large-stepping.json
+    cmp bench-smoke/e1-e5-replay.json bench-smoke/e1-e5-stepping.json
 
 # Full-scale parallel sweep of every experiment grid.
 sweep:

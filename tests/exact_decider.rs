@@ -117,7 +117,7 @@ fn delay_past_both_fixed_point_tails_matches_the_decider() {
 #[test]
 fn fixed_tails_settle_huge_budgets_and_the_decider_agrees() {
     // The replay path settles billion-round budgets from the tails only
-    // when the recorder knows the agent halted; the test agent reports it.
+    // when the recorder knows the agent is absorbing; the test agent says so.
     struct WalkThenHalt {
         moves: u64,
     }
@@ -132,8 +132,12 @@ fn fixed_tails_settle_huge_budgets_and_the_decider_agrees() {
         fn memory_bits(&self) -> u64 {
             0
         }
-        fn halted(&self) -> bool {
-            self.moves == 0
+        fn idle_span(&self) -> u64 {
+            if self.moves == 0 {
+                u64::MAX
+            } else {
+                0
+            }
         }
     }
     let t = line(7);
