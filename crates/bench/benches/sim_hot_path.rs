@@ -6,21 +6,24 @@
 //! [`run_pair_fsa`] instantiation against the dyn-compatible [`run_pair`]
 //! wrapper on the identical workload: two basic-walk automata launched at
 //! odd distance on a line cross forever and never meet, so every run costs
-//! exactly the full round budget. The sweep executor's dispatch choice
-//! (currently dyn everywhere — measured faster) is guided by this number;
-//! rerun it when changing targets or toolchains.
+//! exactly the full round budget. The two-lane ensemble runner's dispatch
+//! choice (dyn — measured faster) is guided by this number; rerun it when
+//! changing targets or toolchains.
 //!
-//! `trace_replay/{record,replay_pair,run_pair}` prices the trace kernel on
-//! the same shuttle workload: the one-time tabulation, the per-question
-//! timeline merge, and the live stepping it replaces.
+//! `trace_replay/{record,replay_ensemble,run_pair}` prices the trace
+//! kernel on the same shuttle workload: the one-time tabulation, the
+//! per-question two-lane timeline merge, and the live stepping it
+//! replaces.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rvz_agent::fsa::Fsa;
 use rvz_agent::model::Agent;
-use rvz_sim::trace::Replay;
-use rvz_sim::{replay_pair, run_pair, run_pair_fsa, run_single, PairConfig, TraceRecorder};
+use rvz_sim::{
+    replay_ensemble, run_pair, run_pair_fsa, run_single, EnsembleReplay, EnsembleSchedule,
+    PairConfig, TraceRecorder,
+};
 use rvz_trees::generators::{line, random_bounded_degree_tree};
 use std::hint::black_box;
 
@@ -89,14 +92,15 @@ fn bench_trace_replay(c: &mut Criterion) {
     // two basic-walk automata at odd distance shuttle for the full budget
     // (the worst case for the merge — every round is a move, so no
     // joint-stay span can be jumped). `record` prices the one-time
-    // tabulation; `replay_pair` is what every later (delay, pair) question
-    // costs; `run_pair` is what it used to cost.
+    // tabulation; `replay_ensemble` at k = 2 is what every later
+    // (delay, pair) question costs; `run_pair` is what it used to cost.
     let mut group = c.benchmark_group("trace_replay");
     for n in [200usize, 2_000] {
         let t = line(n);
         let fsa = Fsa::basic_walk(2);
         let rounds = 8 * n as u64;
         let cfg = PairConfig::simultaneous(rounds);
+        let sched = EnsembleSchedule::simultaneous(2);
         let record = |start: u32| {
             let mut rec = TraceRecorder::new(start, fsa.runner_owned(), |a| a.memory_bits());
             rec.record_to(&t, rounds);
@@ -111,10 +115,10 @@ fn bench_trace_replay(c: &mut Criterion) {
                 black_box(rec.trajectory().num_runs())
             })
         });
-        group.bench_with_input(BenchmarkId::new("replay_pair", n), &t, |b, t| {
-            b.iter(|| match replay_pair(t, &ta, &tb, cfg) {
-                Replay::Decided(run) => black_box(run.crossings),
-                Replay::NeedMore { .. } => unreachable!("recorded to the budget"),
+        group.bench_with_input(BenchmarkId::new("replay_ensemble", n), &t, |b, t| {
+            b.iter(|| match replay_ensemble(t, &[&ta, &tb], &sched, rounds, false) {
+                EnsembleReplay::Decided(run) => black_box(run.crossings),
+                EnsembleReplay::NeedMore { .. } => unreachable!("recorded to the budget"),
             })
         });
         group.bench_with_input(BenchmarkId::new("run_pair", n), &t, |b, t| {

@@ -3,9 +3,9 @@
 //! shared with the `sweep_cells` criterion bench) and writes
 //! `BENCH_sweep.json` with before/after numbers.
 //!
-//! **before** is the PR-2 stepping executor ([`Executor::DynStepping`]):
-//! one shared `Arc<SweepInstance>` per (family, size), both agents stepped
-//! through dyn `run_pair` in every cell. **after** is the trace-replay
+//! **before** is the stepping executor ([`Executor::DynStepping`]): one
+//! shared `Arc<SweepInstance>` per (family, size), the cell's agents
+//! stepped through the k-lane round loop in every cell. **after** is the trace-replay
 //! executor ([`Executor::TraceReplay`]): each `(family, n, start, variant)`
 //! trajectory is recorded once into the process-wide trace store and every
 //! cell is decided by timeline merge — the best-of-`reps` timing therefore

@@ -18,8 +18,9 @@
 //!    oblivious, so by default ([`Executor::TraceReplay`]) the executor
 //!    records each `(family, n, start, variant)` trajectory once — in a
 //!    process-wide store layered on the shared [`SweepInstance`]s — and
-//!    answers every `(delay, pair)` cell by timeline merge
-//!    (`rvz_sim::trace`), falling back to per-cell stepping
+//!    answers every `(delay, starts)` cell by the k-lane timeline merge
+//!    (`rvz_sim::trace`; pairs are its `k = 2` case), falling back to
+//!    per-cell stepping
 //!    ([`Executor::DynStepping`], still available behind the flag) only
 //!    when a recording would exceed the cap. Both executors are
 //!    byte-identical by test.
@@ -35,6 +36,7 @@ use crate::trace_cache;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
+use rvz_agent::model::Agent;
 use rvz_core::prime_path::PrimePathAgent;
 use rvz_core::primes::{next_prime, primorial_index_bound};
 use rvz_core::{DelayRobustAgent, TreeRendezvousAgent};
@@ -43,15 +45,13 @@ use rvz_lowerbounds::decide::{
     verify_ensemble_lasso, verify_lasso, verify_schedule_lasso, worst_case_from_lassos, Decision,
     EnsembleDecision, ScheduleDecision, SoloLasso, WorstCase,
 };
-use rvz_sim::trace::Replay;
 use rvz_sim::{
-    replay_ensemble, replay_pair, replay_pair_scheduled, run_ensemble_fsa, run_pair,
-    run_pair_scheduled, EnsembleReplay, EnsembleRun, EnsembleSchedule, PairConfig, PairRun,
-    Schedule,
+    replay_ensemble, run_ensemble_fsa, EnsembleReplay, EnsembleRun, EnsembleSchedule, Schedule,
 };
 use rvz_trees::symmetry::{pair_orbits, OrbitAction};
 use rvz_trees::{NodeId, Tree};
 use serde::Serialize;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -202,8 +202,9 @@ impl ScheduleSpec {
     /// the k-agent generalization of [`ScheduleSpec::resolve`], lane-for-
     /// lane identical to it at `lanes = 2` (the lane-asymmetric specs put
     /// their faulty lane *last*, matching the pair convention of faulting
-    /// agent B). [`ScheduleSpec::Adversarial`] has no ensemble form — the
-    /// grid filter keeps it off `--agents k > 2` sweeps.
+    /// agent B). [`ScheduleSpec::Adversarial`] is the pair [`Schedule`]
+    /// itself at `lanes = 2` and has no ensemble form beyond — the grid
+    /// filter keeps it off `--agents k > 2` sweeps.
     pub fn resolve_ensemble(self, n: usize, lanes: usize) -> EnsembleSchedule {
         match self {
             ScheduleSpec::Simultaneous => EnsembleSchedule::simultaneous(lanes),
@@ -226,6 +227,9 @@ impl ScheduleSpec {
                     Vec::new(),
                     (0..period).map(|i| vec![i == 0; lanes]).collect(),
                 )
+            }
+            ScheduleSpec::Adversarial { .. } if lanes == 2 => {
+                EnsembleSchedule::from_pair(&self.resolve(n))
             }
             ScheduleSpec::Adversarial { .. } => {
                 unreachable!("adversarial schedules are a pair axis (grid-filtered at k > 2)")
@@ -436,11 +440,13 @@ pub enum Executor {
     /// (`rvz_sim::trace`) — no agent stepping on cache hits.
     #[default]
     TraceReplay,
-    /// Step both agents per cell through dyn [`run_pair`] (the pre-trace
-    /// executor). Kept behind this flag for differential testing; it is
-    /// also the replay path's fallback for cells whose trajectories would
-    /// exceed the recording cap. Output is byte-identical to
-    /// [`Executor::TraceReplay`] by construction (and by test).
+    /// Step all `k` agents of each cell through the k-lane round loop
+    /// ([`rvz_sim::run_ensemble_fsa`]; a pair is its two-lane case) — the
+    /// pre-trace executor. Kept behind this flag for differential testing;
+    /// it is also the replay path's fallback for cells whose trajectories
+    /// would exceed the recording cap. Output is byte-identical to
+    /// [`Executor::TraceReplay`] by test: both share the k-lane model, and
+    /// `tests/golden_output.rs` pins both to fixed bytes.
     DynStepping,
     /// Answer each cell by the exact decider over the joint configuration
     /// graph ([`rvz_lowerbounds::decide`]): no round budget, `NeverMeets`
@@ -1014,10 +1020,10 @@ impl Cell {
     }
 
     /// The k-lane execution mode at instance size `n`: the row metadata
-    /// (θ-equivalent delay, optional schedule label — exactly the pair
-    /// split of [`Cell::mode`]) plus the resolved [`EnsembleSchedule`].
-    /// θ-shaped cells delay the *last* lane, matching the pair convention
-    /// of delaying agent B.
+    /// (θ-equivalent delay, optional schedule label — the split of
+    /// [`Cell::mode`]) plus the resolved [`EnsembleSchedule`]. θ-shaped
+    /// cells delay the *last* lane (agent B of a pair); genuine schedules
+    /// come from [`ScheduleSpec::resolve_ensemble`].
     fn ensemble_mode(&self, n: usize) -> ((u64, Option<String>), EnsembleSchedule) {
         match self.mode(n) {
             CellMode::Delay(theta) => {
@@ -1032,17 +1038,30 @@ impl Cell {
     }
 }
 
-/// Round budget and provisioned automaton size for a `--agents k > 2`
-/// cell — the ensemble twin of [`budget_and_provisioned`]. Procedural
-/// budgets are per-instance and lane-count-free (the provisioning
-/// argument bounds *each* copy); the basic-walk horizon generalizes
-/// [`schedule_budget_for`] verbatim: every lane's solo trajectory is
-/// purely periodic with period `2(n−1)` activations, each lane gains a
-/// fixed activation count per schedule cycle, and the per-lane repeat
-/// times all divide `2(n−1)` cycles — so the *joint* state repeats
-/// within `cycle · 2(n−1)` rounds past the prefix, the same bound as the
-/// pair (for θ-shapes this is exactly [`basic_walk_budget_for`]).
-fn ensemble_budget_and_provisioned(
+impl SweepInstance {
+    /// The start tuple of `cell`, lane by lane — the pair pool's `(a, b)`
+    /// at `k = 2`, the tuple pool's entry at `k > 2` — or `None` when the
+    /// instance has fewer (the dropped-cell case).
+    fn starts(&self, cell: &Cell) -> Option<Cow<'_, [NodeId]>> {
+        if cell.agents > 2 {
+            self.tuples.get(cell.pair_index).map(|tuple| Cow::Borrowed(&tuple[..]))
+        } else {
+            self.pairs.get(cell.pair_index).map(|&(a, b)| Cow::Owned(vec![a, b]))
+        }
+    }
+}
+
+/// Round budget and provisioned automaton size for a cell's variant at
+/// this instance (shared by every executor). Procedural budgets are
+/// per-instance and lane-count-free (the provisioning argument bounds
+/// *each* copy). The basic-walk horizon is exact: every lane's solo
+/// trajectory is purely periodic with period `2(n−1)` activations, each
+/// lane gains a fixed activation count per schedule cycle, and the
+/// per-lane repeat times all divide `2(n−1)` cycles — so the *joint*
+/// state repeats within `cycle · 2(n−1)` rounds past the prefix. At
+/// `k = 2` this is [`schedule_budget_for`], and for θ-shapes
+/// [`basic_walk_budget_for`].
+fn budget_and_provisioned(
     cell: &Cell,
     inst: &SweepInstance,
     n: usize,
@@ -1065,35 +1084,6 @@ fn ensemble_budget_and_provisioned(
     }
 }
 
-/// Round budget and provisioned automaton size for a cell's variant at
-/// this instance (shared by the stepping and replay executors). `sched`
-/// is the resolved schedule for genuinely scheduled cells (`delay` is
-/// then the θ-equivalent and only the schedule shapes the bw horizon).
-fn budget_and_provisioned(
-    cell: &Cell,
-    inst: &SweepInstance,
-    n: usize,
-    leaves: usize,
-    delay: u64,
-    sched: Option<&Schedule>,
-) -> (u64, u64) {
-    match cell.variant {
-        Variant::TreeRvz => {
-            (budget_for(n), TreeRendezvousAgent::provisioned_bits(n as u64, leaves as u64))
-        }
-        Variant::DelayRobust => (budget_for(n), DelayRobustAgent::provisioned_bits(n as u64)),
-        Variant::PrimePath => (prime_budget_for(n), 0),
-        Variant::BasicWalkFsa => {
-            let fsa = inst.basic_walk_fsa();
-            let budget = match sched {
-                Some(s) => schedule_budget_for(n, s),
-                None => basic_walk_budget_for(n, delay),
-            };
-            (budget, fsa.memory_bits())
-        }
-    }
-}
-
 /// Assembles the result row — the single place the 20-field row shape
 /// lives, shared by all three executors (stepping and replay pass the
 /// bounded run's outcome with `certified: false`; the decide path passes
@@ -1110,9 +1100,14 @@ fn make_row(
     budget: u64,
     provisioned_bits: u64,
     measured_bits: u64,
-    starts: (NodeId, NodeId),
+    starts: &[NodeId],
     certified: bool,
 ) -> SweepRow {
+    // Lanes 0/1 stay in `start_a`/`start_b` (so every pair-keyed consumer
+    // keeps working) and lanes 2.. land in `start_rest`. Only `k > 2`
+    // rows carry the ensemble fields — that is what keeps `--agents 2`
+    // rows byte-identical to the pair schema.
+    let ensemble = starts.len() > 2;
     SweepRow {
         experiment: cell.experiment.clone(),
         family: cell.family.name().to_string(),
@@ -1122,8 +1117,8 @@ fn make_row(
         variant: cell.variant.name().to_string(),
         delay,
         schedule,
-        start_a: starts.0,
-        start_b: starts.1,
+        start_a: starts[0],
+        start_b: starts[1],
         met,
         rounds,
         crossings,
@@ -1137,181 +1132,16 @@ fn make_row(
         timed_out: None,
         poisoned: None,
         planned: None,
-        agents: None,
-        start_rest: None,
+        agents: ensemble.then_some(starts.len()),
+        start_rest: ensemble.then(|| starts[2..].to_vec()),
     }
-}
-
-/// Stamps the ensemble fields onto a pair-shaped row: lanes 0/1 stay in
-/// `start_a`/`start_b` (so every pair-keyed consumer keeps working) and
-/// lanes 2.. land in `start_rest`. The single place rows learn they are
-/// k-lane — keeping [`make_row`] untouched is what keeps `--agents 2`
-/// byte-identical.
-fn stamp_ensemble(mut row: SweepRow, starts: &[NodeId]) -> SweepRow {
-    row.agents = Some(starts.len());
-    row.start_rest = Some(starts[2..].to_vec());
-    row
 }
 
 /// The `(met, rounds, crossings)` triple of a bounded run, as
-/// [`make_row`] consumes it.
-fn bounded_outcome(run: &PairRun) -> (bool, Option<u64>, u64) {
-    (run.outcome.met(), run.outcome.round(), run.crossings)
-}
-
-/// The `(met, rounds, crossings)` triple of a bounded k-lane run — `met`
-/// is *gathering*: all `k` copies on one node at a round boundary.
+/// [`make_row`] consumes it — `met` is *gathering*: all `k` copies on one
+/// node at a round boundary (at `k = 2`, rendezvous).
 fn ensemble_outcome(run: &EnsembleRun) -> (bool, Option<u64>, u64) {
     (run.outcome.met(), run.outcome.round(), run.crossings)
-}
-
-/// Executes one `--agents k > 2` cell by *stepping* all `k` lanes through
-/// the ensemble round loop ([`rvz_sim::run_ensemble_fsa`]) — the k-lane
-/// [`Executor::DynStepping`] path, also the ensemble replay fallback.
-/// Each variant runs a homogeneous concrete bank (rather than boxing into
-/// dyn agents) so the per-variant measured-bits meters stay readable,
-/// exactly as [`run_cell_on`] reads them.
-fn run_cell_ensemble_stepping(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
-    let tree = &inst.tree;
-    let n = tree.num_nodes();
-    let leaves = tree.num_leaves();
-    let starts = inst.tuples.get(cell.pair_index)?.as_slice();
-    let ((delay, schedule), esched) = cell.ensemble_mode(n);
-    let (budget, provisioned_bits) =
-        ensemble_budget_and_provisioned(cell, inst, n, leaves, &esched);
-
-    let (run, measured_bits) = match cell.variant {
-        Variant::TreeRvz => {
-            let mut bank: Vec<TreeRendezvousAgent> =
-                (0..cell.agents).map(|_| TreeRendezvousAgent::new()).collect();
-            let run = run_ensemble_fsa(tree, starts, &mut bank, &esched, budget, false);
-            (run, bank.iter().map(|a| a.memory_bits_measured()).max().unwrap_or(0))
-        }
-        Variant::DelayRobust => {
-            let mut bank: Vec<DelayRobustAgent> =
-                (0..cell.agents).map(|_| DelayRobustAgent::new()).collect();
-            let run = run_ensemble_fsa(tree, starts, &mut bank, &esched, budget, false);
-            (run, bank.iter().map(|a| a.memory_bits_measured()).max().unwrap_or(0))
-        }
-        Variant::PrimePath => {
-            let mut bank: Vec<PrimePathAgent> =
-                (0..cell.agents).map(|_| PrimePathAgent::unbounded()).collect();
-            let run = run_ensemble_fsa(tree, starts, &mut bank, &esched, budget, false);
-            use rvz_agent::model::Agent;
-            (run, bank.iter().map(|a| a.memory_bits()).max().unwrap_or(0))
-        }
-        Variant::BasicWalkFsa => {
-            let fsa = inst.basic_walk_fsa();
-            let mut bank: Vec<_> = (0..cell.agents).map(|_| fsa.runner()).collect();
-            let run = run_ensemble_fsa(tree, starts, &mut bank, &esched, budget, false);
-            use rvz_agent::model::Agent;
-            (run, bank.iter().map(|a| a.memory_bits()).max().unwrap_or(0))
-        }
-    };
-
-    Some(stamp_ensemble(
-        make_row(
-            cell,
-            inst,
-            n,
-            leaves,
-            (delay, schedule),
-            ensemble_outcome(&run),
-            budget,
-            provisioned_bits,
-            measured_bits,
-            (starts[0], starts[1]),
-            false,
-        ),
-        starts,
-    ))
-}
-
-/// Executes one `--agents k > 2` cell from recorded solo trajectories
-/// (the k-lane [`Executor::TraceReplay`] path): all `k` timelines come
-/// from the *same* process-wide per-agent trace store the pair executor
-/// uses — a solo trajectory is a pure function of activation count, so
-/// the store needs no ensemble axis — and the cell is decided by
-/// [`rvz_sim::replay_ensemble`]'s k-cursor merge. Rows are bit-for-bit
-/// [`run_cell_ensemble_stepping`]'s; cells needing recordings past the
-/// cap fall back to it.
-fn run_cell_ensemble_replay(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
-    let tree = &inst.tree;
-    let n = tree.num_nodes();
-    let leaves = tree.num_leaves();
-    let starts = inst.tuples.get(cell.pair_index)?.as_slice();
-    let ((delay, schedule), esched) = cell.ensemble_mode(n);
-    let (budget, provisioned_bits) =
-        ensemble_budget_and_provisioned(cell, inst, n, leaves, &esched);
-
-    let slots: Vec<trace_cache::Slot> = starts
-        .iter()
-        .map(|&s| trace_cache::slot(inst, cell.family, cell.n, cell.variant, s))
-        .collect();
-    fn enter(slot: &trace_cache::Slot) -> std::sync::MutexGuard<'_, trace_cache::VariantRecorder> {
-        slot.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-    // Feasible tuples have pairwise-distinct starts, so the slots differ;
-    // lock them in ascending start order so cells sharing endpoints cannot
-    // deadlock (the k-lane form of the pair executor's two-lock protocol).
-    let mut order: Vec<usize> = (0..starts.len()).collect();
-    order.sort_by_key(|&i| starts[i]);
-    loop {
-        rvz_sim::cancel::checkpoint();
-        let mut guards: Vec<Option<std::sync::MutexGuard<'_, trace_cache::VariantRecorder>>> =
-            (0..starts.len()).map(|_| None).collect();
-        for &i in &order {
-            guards[i] = Some(enter(&slots[i]));
-        }
-        let trajs: Vec<&rvz_sim::Trajectory> =
-            guards.iter().map(|g| g.as_ref().expect("locked above").trajectory()).collect();
-        match replay_ensemble(tree, &trajs, &esched, budget, false) {
-            EnsembleReplay::Decided(run) => {
-                // Meters read at each lane's activation count by the final
-                // round, exactly as the stepping bank reports them.
-                let end = run.outcome.round().unwrap_or(budget);
-                let measured_bits = (0..starts.len())
-                    .map(|i| {
-                        let acts = esched.index(i).acts_at(end);
-                        guards[i].as_ref().expect("locked above").trajectory().bits_at(acts)
-                    })
-                    .max()
-                    .unwrap_or(0);
-                return Some(stamp_ensemble(
-                    make_row(
-                        cell,
-                        inst,
-                        n,
-                        leaves,
-                        (delay, schedule),
-                        ensemble_outcome(&run),
-                        budget,
-                        provisioned_bits,
-                        measured_bits,
-                        (starts[0], starts[1]),
-                        false,
-                    ),
-                    starts,
-                ));
-            }
-            EnsembleReplay::NeedMore { rounds } => {
-                if rounds.iter().any(|&need| need > trace_cache::MAX_RECORD_ROUNDS) {
-                    drop(guards);
-                    return run_cell_ensemble_stepping(cell, inst);
-                }
-                // Grow only the lanes the verdict flagged (0 / already
-                // decided = long enough) — warm recordings are never
-                // re-stepped because a partner lane was short.
-                for (i, &need) in rounds.iter().enumerate() {
-                    let g = guards[i].as_mut().expect("locked above");
-                    if need > 0 && !g.trajectory().decided_to(need) {
-                        let target = grow_target(g.trajectory().rounds(), need, budget);
-                        g.record_to(tree, target);
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// Executes one `--agents k > 2` cell through the exact ensemble decider
@@ -1328,7 +1158,7 @@ fn run_cell_ensemble_decide(
     inst: &SweepInstance,
 ) -> Option<(SweepRow, Option<Certificate>)> {
     if cell.variant != Variant::BasicWalkFsa {
-        return run_cell_ensemble_replay(cell, inst).map(|row| (row, None));
+        return run_cell_replay(cell, inst).map(|row| (row, None));
     }
     let tree = &inst.tree;
     let n = tree.num_nodes();
@@ -1336,8 +1166,7 @@ fn run_cell_ensemble_decide(
     let starts = inst.tuples.get(cell.pair_index)?.as_slice();
     let fsa = inst.basic_walk_fsa();
     let ((delay, schedule), esched) = cell.ensemble_mode(n);
-    let (budget, provisioned_bits) =
-        ensemble_budget_and_provisioned(cell, inst, n, leaves, &esched);
+    let (budget, provisioned_bits) = budget_and_provisioned(cell, inst, n, leaves, &esched);
 
     let decision: EnsembleDecision = match esched.as_start_delays() {
         Some(delays) => {
@@ -1356,21 +1185,18 @@ fn run_cell_ensemble_decide(
     };
 
     let row = |outcome: (bool, Option<u64>, u64)| {
-        stamp_ensemble(
-            make_row(
-                cell,
-                inst,
-                n,
-                leaves,
-                (delay, schedule.clone()),
-                outcome,
-                budget,
-                provisioned_bits,
-                fsa.memory_bits(),
-                (starts[0], starts[1]),
-                true,
-            ),
+        make_row(
+            cell,
+            inst,
+            n,
+            leaves,
+            (delay, schedule.clone()),
+            outcome,
+            budget,
+            provisioned_bits,
+            fsa.memory_bits(),
             starts,
+            true,
         )
     };
     Some(match decision.round() {
@@ -1402,17 +1228,15 @@ fn run_cell_ensemble_decide(
     })
 }
 
-/// Executes one cell on a prebuilt instance by *stepping* both agents
-/// (the [`Executor::DynStepping`] path; also the replay fallback). `inst`
-/// must be (equal to) `SweepInstance::for_cell(cell)` — the executor
-/// guarantees this by keying instances on `(family, n, tree_index)`
-/// within one spec (the enumerated family keys each tree individually).
+/// Executes one cell on a prebuilt instance by *stepping* all `k` lanes
+/// through the k-lane round loop ([`rvz_sim::run_ensemble_fsa`]) — the
+/// [`Executor::DynStepping`] path, also the replay fallback. Each variant
+/// runs a homogeneous concrete bank so the per-variant measured-bits
+/// meters stay readable. `inst` must be (equal to)
+/// `SweepInstance::for_cell(cell)` — the executor guarantees this by
+/// keying instances on `(family, n, tree_index)` within one spec (the
+/// enumerated family keys each tree individually).
 pub fn run_cell_on(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
-    if cell.agents > 2 {
-        // The k-lane grid admits no adversarial axis (grid-filtered), so
-        // the ensemble stepping path answers every cell.
-        return run_cell_ensemble_stepping(cell, inst);
-    }
     if cell.delay == Delay::Adversarial {
         // Only the quantifier layer can answer "every delay".
         return run_cell_decide(cell, inst);
@@ -1420,68 +1244,33 @@ pub fn run_cell_on(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
     let tree = &inst.tree;
     let n = tree.num_nodes();
     let leaves = tree.num_leaves();
-    let &(start_a, start_b) = inst.pairs.get(cell.pair_index)?;
+    let starts = inst.starts(cell)?;
+    let ((delay, schedule), esched) = cell.ensemble_mode(n);
+    let (budget, provisioned_bits) = budget_and_provisioned(cell, inst, n, leaves, &esched);
 
-    // One generic runner per activation mode: the θ path steps through the
-    // dyn-compatible `run_pair` wrapper exactly as before (measured-fastest
-    // — monomorphizing the round loop benched slower, see the
-    // `sim_hot_path/pair_rounds` static-vs-dyn comparison); genuinely
-    // scheduled cells step the same agents under `run_pair_scheduled`.
-    let (delay, schedule, budget, provisioned_bits, stepper): (
-        u64,
-        Option<String>,
-        u64,
-        u64,
-        Box<dyn Fn(&mut dyn rvz_agent::model::Agent, &mut dyn rvz_agent::model::Agent) -> PairRun>,
-    ) = match cell.mode(n) {
-        CellMode::Delay(delay) => {
-            let (budget, provisioned) = budget_and_provisioned(cell, inst, n, leaves, delay, None);
-            let cfg = PairConfig::delayed(delay, budget);
-            let step = move |x: &mut dyn rvz_agent::model::Agent,
-                             y: &mut dyn rvz_agent::model::Agent| {
-                run_pair(tree, start_a, start_b, x, y, cfg)
-            };
-            (delay, None, budget, provisioned, Box::new(step))
-        }
-        CellMode::Scheduled(spec) => {
-            let sched = spec.resolve(n);
-            let (budget, provisioned) =
-                budget_and_provisioned(cell, inst, n, leaves, 0, Some(&sched));
-            let step = move |x: &mut dyn rvz_agent::model::Agent,
-                             y: &mut dyn rvz_agent::model::Agent| {
-                run_pair_scheduled(tree, start_a, start_b, x, y, &sched, budget, false)
-            };
-            (0, Some(spec.label(n)), budget, provisioned, Box::new(step))
-        }
-    };
-
+    // A concrete bank per variant, so each variant's own meter (measured
+    // bits for the procedural agents) is read off it after the run.
+    fn step<A: Agent>(
+        (tree, starts, esched, budget): (&Tree, &[NodeId], &EnsembleSchedule, u64),
+        new: impl Fn() -> A,
+        bits: fn(&A) -> u64,
+    ) -> (EnsembleRun, u64) {
+        let mut bank: Vec<A> = starts.iter().map(|_| new()).collect();
+        let run = run_ensemble_fsa(tree, starts, &mut bank, esched, budget, false);
+        (run, bank.iter().map(bits).max().unwrap_or(0))
+    }
+    let cell_run = (tree, &starts[..], &esched, budget);
     let (run, measured_bits) = match cell.variant {
         Variant::TreeRvz => {
-            let mut x = TreeRendezvousAgent::new();
-            let mut y = TreeRendezvousAgent::new();
-            let run = stepper(&mut x, &mut y);
-            (run, x.memory_bits_measured().max(y.memory_bits_measured()))
+            step(cell_run, TreeRendezvousAgent::new, TreeRendezvousAgent::memory_bits_measured)
         }
         Variant::DelayRobust => {
-            let mut x = DelayRobustAgent::new();
-            let mut y = DelayRobustAgent::new();
-            let run = stepper(&mut x, &mut y);
-            (run, x.memory_bits_measured().max(y.memory_bits_measured()))
+            step(cell_run, DelayRobustAgent::new, DelayRobustAgent::memory_bits_measured)
         }
-        Variant::PrimePath => {
-            let mut x = PrimePathAgent::unbounded();
-            let mut y = PrimePathAgent::unbounded();
-            let run = stepper(&mut x, &mut y);
-            use rvz_agent::model::Agent;
-            (run, x.memory_bits().max(y.memory_bits()))
-        }
+        Variant::PrimePath => step(cell_run, PrimePathAgent::unbounded, Agent::memory_bits),
         Variant::BasicWalkFsa => {
             let fsa = inst.basic_walk_fsa();
-            let mut x = fsa.runner();
-            let mut y = fsa.runner();
-            let run = stepper(&mut x, &mut y);
-            use rvz_agent::model::Agent;
-            (run, x.memory_bits().max(y.memory_bits()))
+            step(cell_run, || fsa.runner(), Agent::memory_bits)
         }
     };
 
@@ -1491,11 +1280,11 @@ pub fn run_cell_on(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
         n,
         leaves,
         (delay, schedule),
-        bounded_outcome(&run),
+        ensemble_outcome(&run),
         budget,
         provisioned_bits,
         measured_bits,
-        (start_a, start_b),
+        &starts,
         false,
     ))
 }
@@ -1511,17 +1300,17 @@ fn grow_target(current: u64, need: u64, budget: u64) -> u64 {
         .max(need)
 }
 
-/// Executes one cell from recorded trajectories (the
-/// [`Executor::TraceReplay`] path): both timelines come from the
+/// Executes one cell from recorded solo trajectories (the
+/// [`Executor::TraceReplay`] path): all `k` timelines come from the
 /// process-wide trace store keyed `(family, n, tree_seed, start,
 /// variant)`, are extended on demand, and the cell is decided by
-/// `rvz_sim::trace::replay_pair` — no agent stepping on warm keys. Rows
-/// are byte-identical to [`run_cell_on`]; cells that would need recordings
-/// past the cap fall back to it.
+/// [`rvz_sim::replay_ensemble`]'s k-cursor merge — no agent stepping on
+/// warm keys. A solo trajectory is a pure function of activation count,
+/// so the store has no schedule or lane-count axis: the recordings that
+/// answer a θ cell answer every schedule and every ensemble on the same
+/// starts. Rows are byte-identical to [`run_cell_on`]; cells that would
+/// need recordings past the cap fall back to it.
 pub fn run_cell_replay(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
-    if cell.agents > 2 {
-        return run_cell_ensemble_replay(cell, inst);
-    }
     if cell.delay == Delay::Adversarial {
         // Only the quantifier layer can answer "every delay".
         return run_cell_decide(cell, inst);
@@ -1529,95 +1318,72 @@ pub fn run_cell_replay(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
     let tree = &inst.tree;
     let n = tree.num_nodes();
     let leaves = tree.num_leaves();
-    let &(start_a, start_b) = inst.pairs.get(cell.pair_index)?;
+    let starts = inst.starts(cell)?;
+    let ((delay, schedule), esched) = cell.ensemble_mode(n);
+    let (budget, provisioned_bits) = budget_and_provisioned(cell, inst, n, leaves, &esched);
 
-    // Genuinely scheduled cells replay against the *same* recordings as
-    // every θ cell (the trace store key has no schedule axis): the frozen
-    // semantics makes a solo trajectory a pure function of activation
-    // count, so the schedule only re-times the merge. The θ-equivalent
-    // metadata below mirrors the mode split of [`run_cell_on`].
-    let (delay, sched): (u64, Option<(ScheduleSpec, Schedule)>) = match cell.mode(n) {
-        CellMode::Delay(delay) => (delay, None),
-        CellMode::Scheduled(spec) => (0, Some((spec, spec.resolve(n)))),
-    };
-    let (budget, provisioned_bits) =
-        budget_and_provisioned(cell, inst, n, leaves, delay, sched.as_ref().map(|(_, s)| s));
-    let cfg = PairConfig::delayed(delay, budget);
-
-    let slot_a = trace_cache::slot(inst, cell.family, cell.n, cell.variant, start_a);
-    let slot_b = trace_cache::slot(inst, cell.family, cell.n, cell.variant, start_b);
-    // A slot poisoned by a cancelled attempt is safe to re-enter: the
-    // cancellation checkpoints sit at round boundaries, so a recording
-    // interrupted mid-growth is a shorter but *consistent* prefix.
-    fn enter(slot: &trace_cache::Slot) -> std::sync::MutexGuard<'_, trace_cache::VariantRecorder> {
-        slot.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
+    let slots: Vec<trace_cache::Slot> = starts
+        .iter()
+        .map(|&s| trace_cache::slot(inst, cell.family, cell.n, cell.variant, s))
+        .collect();
+    // Feasible tuples have pairwise-distinct starts, so the slots differ;
+    // lock them in ascending start order so cells sharing endpoints cannot
+    // deadlock.
+    let mut order: Vec<usize> = (0..starts.len()).collect();
+    order.sort_by_key(|&i| starts[i]);
     loop {
         rvz_sim::cancel::checkpoint();
-        // Feasible pairs have distinct starts, so the slots differ; lock
-        // them in start order so cells sharing an endpoint cannot deadlock.
-        let (mut ga, mut gb);
-        if start_a <= start_b {
-            ga = enter(&slot_a);
-            gb = enter(&slot_b);
-        } else {
-            gb = enter(&slot_b);
-            ga = enter(&slot_a);
+        let mut guards: Vec<Option<_>> = (0..starts.len()).map(|_| None).collect();
+        for &i in &order {
+            // A slot poisoned by a cancelled attempt is safe to re-enter:
+            // the cancellation checkpoints sit at round boundaries, so a
+            // recording interrupted mid-growth is a shorter but
+            // *consistent* prefix.
+            guards[i] = Some(slots[i].lock().unwrap_or_else(|poisoned| poisoned.into_inner()));
         }
-        let verdict = match &sched {
-            None => replay_pair(tree, ga.trajectory(), gb.trajectory(), cfg),
-            Some((_, s)) => {
-                replay_pair_scheduled(tree, ga.trajectory(), gb.trajectory(), s, budget, false)
-            }
-        };
-        match verdict {
-            Replay::Decided(run) => {
+        let trajs: Vec<&rvz_sim::Trajectory> =
+            guards.iter().map(|g| g.as_ref().expect("locked above").trajectory()).collect();
+        match replay_ensemble(tree, &trajs, &esched, budget, false) {
+            EnsembleReplay::Decided(run) => {
                 // The stepping path reports the meters after exactly as
-                // many activations as each agent got by the final round;
-                // read the same points off the recorded mark lists (the
-                // θ path's counts are `round` and `round − θ`, the
-                // scheduled path's come from the activation index).
+                // many activations as each lane got by the final round;
+                // read the same points off the recorded mark lists.
                 let end = run.outcome.round().unwrap_or(budget);
-                let (acts_a, acts_b) = match &sched {
-                    None => (end, end.saturating_sub(delay)),
-                    Some((_, s)) => (s.index_a().acts_at(end), s.index_b().acts_at(end)),
-                };
-                let measured_bits =
-                    ga.trajectory().bits_at(acts_a).max(gb.trajectory().bits_at(acts_b));
+                let measured_bits = trajs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, traj)| traj.bits_at(esched.index(i).acts_at(end)))
+                    .max()
+                    .unwrap_or(0);
                 return Some(make_row(
                     cell,
                     inst,
                     n,
                     leaves,
-                    (delay, sched.map(|(spec, _)| spec.label(n))),
-                    bounded_outcome(&run),
+                    (delay, schedule),
+                    ensemble_outcome(&run),
                     budget,
                     provisioned_bits,
                     measured_bits,
-                    (start_a, start_b),
+                    &starts,
                     false,
                 ));
             }
-            Replay::NeedMore { a_rounds, b_rounds } => {
-                if a_rounds > trace_cache::MAX_RECORD_ROUNDS
-                    || b_rounds > trace_cache::MAX_RECORD_ROUNDS
-                {
-                    drop(ga);
-                    drop(gb);
+            EnsembleReplay::NeedMore { rounds } => {
+                if rounds.iter().any(|&need| need > trace_cache::MAX_RECORD_ROUNDS) {
+                    drop(guards);
                     return run_cell_on(cell, inst);
                 }
-                // Grow only the lane(s) the verdict flagged (`0` / already
-                // decided means "long enough") — a warm recording must not
-                // be re-stepped just because its partner was short. Both
-                // verdict flavors report *solo recording rounds*, i.e.
-                // activation counts.
-                if !ga.trajectory().decided_to(a_rounds) {
-                    let target = grow_target(ga.trajectory().rounds(), a_rounds, budget);
-                    ga.record_to(tree, target);
-                }
-                if !gb.trajectory().decided_to(b_rounds) {
-                    let target = grow_target(gb.trajectory().rounds(), b_rounds, budget);
-                    gb.record_to(tree, target);
+                // Grow only the lanes the verdict flagged (0 / already
+                // decided = long enough) — a warm recording is never
+                // re-stepped because a partner lane was short. The counts
+                // are *activation* counts, i.e. solo recording rounds.
+                for (i, &need) in rounds.iter().enumerate() {
+                    let g = guards[i].as_mut().expect("locked above");
+                    if need > 0 && !g.trajectory().decided_to(need) {
+                        let target = grow_target(g.trajectory().rounds(), need, budget);
+                        g.record_to(tree, target);
+                    }
                 }
             }
         }
@@ -1710,7 +1476,7 @@ pub fn run_cell_decide_certified(
             budget,
             provisioned_bits,
             measured_bits,
-            (start_a, start_b),
+            &[start_a, start_b],
             true,
         )
     };
@@ -1933,41 +1699,15 @@ fn quarantine_row(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
     let tree = &inst.tree;
     let n = tree.num_nodes();
     let leaves = tree.num_leaves();
-    if cell.agents > 2 {
-        let starts = inst.tuples.get(cell.pair_index)?.as_slice();
-        let ((delay, schedule), esched) = cell.ensemble_mode(n);
-        let (budget, provisioned_bits) =
-            ensemble_budget_and_provisioned(cell, inst, n, leaves, &esched);
-        return Some(stamp_ensemble(
-            make_row(
-                cell,
-                inst,
-                n,
-                leaves,
-                (delay, schedule),
-                (false, None, 0),
-                budget,
-                provisioned_bits,
-                0,
-                (starts[0], starts[1]),
-                false,
-            ),
-            starts,
-        ));
-    }
-    let &starts = inst.pairs.get(cell.pair_index)?;
+    let starts = inst.starts(cell)?;
     let (mode, budget, provisioned_bits) = if cell.delay == Delay::Adversarial {
         // The quantifier never reached a decisive delay; there is no θ or
         // budget to report, only the provisioned automaton size.
         ((0u64, None), 0u64, inst.basic_walk_fsa().memory_bits())
     } else {
-        let (delay, schedule, sched) = match cell.mode(n) {
-            CellMode::Delay(delay) => (delay, None, None),
-            CellMode::Scheduled(spec) => (0, Some(spec.label(n)), Some(spec.resolve(n))),
-        };
-        let (budget, provisioned) =
-            budget_and_provisioned(cell, inst, n, leaves, delay, sched.as_ref());
-        ((delay, schedule), budget, provisioned)
+        let (mode, esched) = cell.ensemble_mode(n);
+        let (budget, provisioned) = budget_and_provisioned(cell, inst, n, leaves, &esched);
+        (mode, budget, provisioned)
     };
     Some(make_row(
         cell,
@@ -1979,7 +1719,7 @@ fn quarantine_row(cell: &Cell, inst: &SweepInstance) -> Option<SweepRow> {
         budget,
         provisioned_bits,
         0,
-        starts,
+        &starts,
         false,
     ))
 }
@@ -2412,7 +2152,7 @@ pub fn perf_grid_ensemble() -> SweepSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rvz_sim::run_pair_fsa;
+    use rvz_sim::{run_pair, run_pair_fsa, PairConfig};
 
     fn small_spec(threads: usize) -> SweepSpec {
         SweepSpec {
@@ -2426,6 +2166,30 @@ mod tests {
             threads,
             executor: Executor::default(),
             agents: 2,
+        }
+    }
+
+    #[test]
+    fn two_lane_ensemble_resolution_is_the_pair_schedule() {
+        let specs = [
+            ScheduleSpec::Simultaneous,
+            ScheduleSpec::StartDelay(0),
+            ScheduleSpec::StartDelay(7),
+            ScheduleSpec::Intermittent { period: 1, phase: 0 },
+            ScheduleSpec::Intermittent { period: 3, phase: 2 },
+            ScheduleSpec::CrashAfter(0),
+            ScheduleSpec::CrashAfter(5),
+            ScheduleSpec::CrashAfterHalfN,
+            ScheduleSpec::Lockstep { period: 1 },
+            ScheduleSpec::Lockstep { period: 4 },
+            ScheduleSpec::Adversarial { seed: 1 },
+            ScheduleSpec::Adversarial { seed: 0xBEEF },
+        ];
+        for spec in specs {
+            for n in [1, 8, 13] {
+                let pair = EnsembleSchedule::from_pair(&spec.resolve(n));
+                assert_eq!(spec.resolve_ensemble(n, 2), pair, "{spec:?} at n = {n}");
+            }
         }
     }
 
@@ -2868,6 +2632,37 @@ mod tests {
                 basic_walk_budget_for(n, theta),
                 "n={n} θ={theta}"
             );
+        }
+    }
+
+    #[test]
+    fn linear_delays_past_the_prefix_cap_resolve_in_constant_space() {
+        // `LinearN` at a size past `Schedule::MAX_MATERIALIZED_PREFIX` is a
+        // θ no pair `Schedule` can hold. The k-lane form stores it as one
+        // run, so the cell resolves at every width without any tree being
+        // built.
+        let n = 5_000_000;
+        assert!(n as u64 > Schedule::MAX_MATERIALIZED_PREFIX);
+        for agents in [2, 3] {
+            let cell = Cell {
+                experiment: Arc::from("e6"),
+                family: Family::Line,
+                n,
+                delay: Delay::LinearN,
+                variant: Variant::DelayRobust,
+                pair_index: 0,
+                pairs_total: 1,
+                base_seed: 1,
+                tree_index: None,
+                agents,
+            };
+            let ((delay, schedule), esched) = cell.ensemble_mode(n);
+            assert_eq!((delay, schedule), (n as u64, None));
+            let mut delays = vec![0; agents];
+            delays[agents - 1] = n as u64;
+            assert_eq!(esched.as_start_delays(), Some(delays));
+            assert_eq!(esched.prefix_len(), n as u64);
+            assert_eq!(esched.index(agents - 1).acts_at(n as u64 + 3), 3);
         }
     }
 

@@ -9,8 +9,10 @@
 //! replays recorded timelines (`rvz_sim::trace`) instead of stepping
 //! agents: the delay column of a pair shares two recordings, reruns of the
 //! same grid (benchmark repetitions, overlapping experiments) share all of
-//! them, and recordings grow on demand — `replay_pair` reports how many
-//! rounds it actually needed and [`VariantRecorder::record_to`] extends
+//! them, and recordings grow on demand — `rvz_sim::replay_ensemble`
+//! reports how many activations each lane actually needed (one store key
+//! serves pairs and ensembles alike: the key has no lane-count or
+//! schedule axis) and [`VariantRecorder::record_to`] extends
 //! the prefix in place, never re-stepping it. Extending costs one step
 //! per active round and one per idle span (`Agent::idle_span`): the
 //! delay-robust agent's passive windows, most of its rounds, are jumped

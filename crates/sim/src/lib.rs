@@ -38,7 +38,4 @@ pub use runner::{
     PairConfig, PairRun, SingleRun,
 };
 pub use schedule::{ActivationIndex, EnsembleSchedule, Schedule};
-pub use trace::{
-    delay_scan, gathering_scan, replay_ensemble, replay_pair, replay_pair_scheduled, schedule_scan,
-    EnsembleReplay, Replay, TraceRecorder, Trajectory,
-};
+pub use trace::{gathering_scan, replay_ensemble, EnsembleReplay, TraceRecorder, Trajectory};

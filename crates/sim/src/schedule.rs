@@ -14,7 +14,8 @@
 //! — the exact decider extends its product construction by the cycle
 //! position (`rvz_lowerbounds::decide::decide_pair_scheduled`), and the
 //! trace-replay engine answers schedule cells against unchanged solo
-//! recordings ([`crate::trace::replay_pair_scheduled`]).
+//! recordings ([`crate::trace::replay_ensemble`]; a pair [`Schedule`]
+//! enters it as the two-lane [`EnsembleSchedule::from_pair`]).
 //!
 //! The frozen semantics is chosen so that an agent's trajectory *as a
 //! function of its activation count* is schedule-independent: the k-th
@@ -28,6 +29,9 @@
 //! Round indices are 1-based throughout, matching the simulator: round 0
 //! is the initial placement (before any activation), and
 //! [`Schedule::active`]`(r)` answers for rounds `r ≥ 1`.
+
+use std::borrow::Cow;
+use std::iter::repeat_n;
 
 /// An eventually-periodic activation schedule for a two-agent run: which
 /// agents the adversary activates each round. Entry `(a, b)` activates
@@ -43,9 +47,10 @@ pub struct Schedule {
 impl Schedule {
     /// Materialization cap for the constructors that unroll a round count
     /// into explicit prefix entries ([`Schedule::start_delay`],
-    /// [`Schedule::crash_after`]). Delays beyond it have no schedule form
-    /// — use the compact `PairConfig::delayed` path, which carries θ as a
-    /// single integer.
+    /// [`Schedule::crash_after`], [`EnsembleSchedule::crash_last_after`]).
+    /// Delays beyond it have no pair-schedule form — use
+    /// [`EnsembleSchedule::start_delays`] (or `PairConfig::delayed`),
+    /// which carries θ as a single integer.
     pub const MAX_MATERIALIZED_PREFIX: u64 = 1 << 22;
 
     /// A schedule from explicit parts. The cycle must be non-empty (the
@@ -66,7 +71,7 @@ impl Schedule {
         assert!(
             theta <= Self::MAX_MATERIALIZED_PREFIX,
             "start_delay({theta}) would materialize a {theta}-entry prefix; \
-             use PairConfig::delayed for delays past MAX_MATERIALIZED_PREFIX"
+             use EnsembleSchedule::start_delays for delays past MAX_MATERIALIZED_PREFIX"
         );
         Schedule::new(vec![(true, false); theta as usize], vec![(true, true)])
     }
@@ -140,14 +145,6 @@ impl Schedule {
         }
     }
 
-    /// `Some(θ)` when this schedule is exactly the legacy start-delay
-    /// scenario (A-only for θ rounds, then both forever) — the special
-    /// case the θ-indexed fast paths answer without a schedule walk.
-    pub fn as_start_delay(&self) -> Option<u64> {
-        (self.cycle == [(true, true)] && self.prefix.iter().all(|&f| f == (true, false)))
-            .then_some(self.prefix.len() as u64)
-    }
-
     /// `true` when the two lanes see identical activation flags every
     /// round (simultaneous, lockstep, any global-stall pattern). For such
     /// schedules swapping the agents merely relabels the lanes, so the
@@ -156,16 +153,6 @@ impl Schedule {
     /// exactly on this class.
     pub fn lane_symmetric(&self) -> bool {
         self.prefix.iter().chain(&self.cycle).all(|&(a, b)| a == b)
-    }
-
-    /// Activation arithmetic for agent A.
-    pub fn index_a(&self) -> ActivationIndex {
-        ActivationIndex::new(self, false)
-    }
-
-    /// Activation arithmetic for agent B.
-    pub fn index_b(&self) -> ActivationIndex {
-        ActivationIndex::new(self, true)
     }
 }
 
@@ -178,17 +165,23 @@ impl Schedule {
 /// count is schedule-independent — one solo recording per agent serves
 /// every ensemble schedule.
 ///
-/// A two-lane `EnsembleSchedule` is interconvertible with [`Schedule`]
-/// ([`EnsembleSchedule::from_pair`] / [`EnsembleSchedule::pair`]) and
-/// produces identical activation flags round for round.
+/// Every pair [`Schedule`] embeds as a two-lane `EnsembleSchedule`
+/// ([`EnsembleSchedule::from_pair`]) with identical activation flags round
+/// for round.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EnsembleSchedule {
     /// Lane count `k ≥ 1`; every row below has exactly `k` flags.
     lanes: usize,
-    /// Rows for rounds `1..=prefix.len()`.
-    pub prefix: Vec<Vec<bool>>,
-    /// Rows repeated forever after the prefix; never empty.
-    pub cycle: Vec<Vec<bool>>,
+    /// The prefix as runs of identical rows: run `j` covers the rounds
+    /// after `prefix_ends[j - 1]` (after round 0 for `j = 0`) through
+    /// `prefix_ends[j]`, with the flags `prefix_rows[j * lanes..][..lanes]`.
+    /// Adjacent runs differ, so the form is canonical, and a start delay θ
+    /// costs one run per distinct delay rather than θ rows.
+    prefix_ends: Vec<u64>,
+    prefix_rows: Vec<bool>,
+    /// Rows repeated forever after the prefix, flattened (lane `i` of
+    /// cycle slot `s` is `cycle[s * lanes + i]`); never empty.
+    cycle: Vec<bool>,
 }
 
 impl EnsembleSchedule {
@@ -200,7 +193,29 @@ impl EnsembleSchedule {
         for row in prefix.iter().chain(&cycle) {
             assert_eq!(row.len(), lanes, "every schedule row must cover all {lanes} lanes");
         }
-        EnsembleSchedule { lanes, prefix, cycle }
+        let mut s = Self::cycling(lanes, cycle.concat());
+        for row in &prefix {
+            s.push_rows(1, row);
+        }
+        s
+    }
+
+    /// An empty prefix before `cycle` (flattened rows).
+    fn cycling(lanes: usize, cycle: Vec<bool>) -> Self {
+        EnsembleSchedule { lanes, prefix_ends: Vec::new(), prefix_rows: Vec::new(), cycle }
+    }
+
+    /// Appends `len ≥ 1` rounds of `row` to the prefix.
+    fn push_rows(&mut self, len: u64, row: &[bool]) {
+        let end = self.prefix_len() + len;
+        let k = self.lanes;
+        match self.prefix_ends.last_mut() {
+            Some(last) if self.prefix_rows[self.prefix_rows.len() - k..] == *row => *last = end,
+            _ => {
+                self.prefix_ends.push(end);
+                self.prefix_rows.extend_from_slice(row);
+            }
+        }
     }
 
     /// All `k` agents every round — the simultaneous-start scenario.
@@ -211,21 +226,33 @@ impl EnsembleSchedule {
     /// Per-lane start delays: lane `i` is frozen through round
     /// `delays[i]` and active from round `delays[i] + 1` forever. The
     /// two-lane form with `delays = [0, θ]` is exactly
-    /// [`Schedule::start_delay`]`(θ)`.
+    /// [`Schedule::start_delay`]`(θ)`. Any θ fits: the prefix holds one
+    /// run per distinct delay.
     pub fn start_delays(delays: &[u64]) -> Self {
         let lanes = delays.len();
-        let max = delays.iter().copied().max().unwrap_or(0);
-        assert!(
-            max <= Schedule::MAX_MATERIALIZED_PREFIX,
-            "start_delays would materialize a {max}-entry prefix"
-        );
-        let prefix = (1..=max).map(|r| delays.iter().map(|&d| r > d).collect()).collect();
-        EnsembleSchedule::new(lanes, prefix, vec![vec![true; lanes]])
+        assert!(lanes >= 1, "an ensemble schedule needs at least one lane");
+        let mut bounds: Vec<u64> = delays.iter().copied().filter(|&d| d > 0).collect();
+        bounds.sort_unstable();
+        bounds.dedup();
+        let mut s = Self::cycling(lanes, vec![true; lanes]);
+        let mut row = vec![false; lanes];
+        let mut done = 0;
+        for bound in bounds {
+            // Through `bound`, exactly the lanes delayed at most `done`
+            // rounds are running.
+            for (flag, &d) in row.iter_mut().zip(delays) {
+                *flag = d <= done;
+            }
+            s.push_rows(bound - done, &row);
+            done = bound;
+        }
+        s
     }
 
     /// All lanes for `rounds` rounds, then the last lane crashes (is
     /// never activated again) while the rest keep running — the
-    /// ensemble form of [`Schedule::crash_after`].
+    /// ensemble form of [`Schedule::crash_after`]. Capped like it: the
+    /// crashed lane's [`ActivationIndex`] tabulates the prefix.
     pub fn crash_last_after(lanes: usize, rounds: u64) -> Self {
         assert!(
             rounds <= Schedule::MAX_MATERIALIZED_PREFIX,
@@ -233,7 +260,11 @@ impl EnsembleSchedule {
         );
         let mut survivor_row = vec![true; lanes];
         survivor_row[lanes - 1] = false;
-        EnsembleSchedule::new(lanes, vec![vec![true; lanes]; rounds as usize], vec![survivor_row])
+        let mut s = Self::cycling(lanes, survivor_row);
+        if rounds > 0 {
+            s.push_rows(rounds, &vec![true; lanes]);
+        }
+        s
     }
 
     /// Lanes `0..k-1` every round; the last lane only in rounds `r` with
@@ -256,24 +287,11 @@ impl EnsembleSchedule {
     /// identical, so every pair engine and its ensemble generalization
     /// see the same adversary.
     pub fn from_pair(s: &Schedule) -> Self {
-        let row = |&(a, b): &(bool, bool)| vec![a, b];
-        EnsembleSchedule::new(
-            2,
-            s.prefix.iter().map(row).collect(),
-            s.cycle.iter().map(row).collect(),
-        )
-    }
-
-    /// The pair [`Schedule`] this two-lane ensemble schedule came from;
-    /// `None` when `lanes != 2`.
-    pub fn pair(&self) -> Option<Schedule> {
-        (self.lanes == 2).then(|| {
-            let pair = |row: &Vec<bool>| (row[0], row[1]);
-            Schedule::new(
-                self.prefix.iter().map(pair).collect(),
-                self.cycle.iter().map(pair).collect(),
-            )
-        })
+        let mut e = Self::cycling(2, s.cycle.iter().flat_map(|&(a, b)| [a, b]).collect());
+        for &(a, b) in &s.prefix {
+            e.push_rows(1, &[a, b]);
+        }
+        e
     }
 
     pub fn lanes(&self) -> usize {
@@ -281,22 +299,25 @@ impl EnsembleSchedule {
     }
 
     pub fn prefix_len(&self) -> u64 {
-        self.prefix.len() as u64
+        self.prefix_ends.last().copied().unwrap_or(0)
     }
 
     pub fn cycle_len(&self) -> u64 {
-        self.cycle.len() as u64
+        (self.cycle.len() / self.lanes) as u64
     }
 
     /// Activation flags for round `round ≥ 1`, one per lane.
     #[inline]
     pub fn active(&self, round: u64) -> &[bool] {
         debug_assert!(round >= 1, "round 0 is the initial placement, nobody acts");
-        let p = self.prefix.len() as u64;
+        let k = self.lanes;
+        let p = self.prefix_len();
         if round <= p {
-            &self.prefix[(round - 1) as usize]
+            let run = self.prefix_ends.partition_point(|&end| end < round);
+            &self.prefix_rows[run * k..][..k]
         } else {
-            &self.cycle[((round - 1 - p) % self.cycle.len() as u64) as usize]
+            let slot = ((round - 1 - p) % self.cycle_len()) as usize;
+            &self.cycle[slot * k..][..k]
         }
     }
 
@@ -304,7 +325,11 @@ impl EnsembleSchedule {
     /// class on which permuting the agents merely relabels lanes, so the
     /// sweep's orbit quotient may permute start tuples soundly.
     pub fn lane_symmetric(&self) -> bool {
-        self.prefix.iter().chain(&self.cycle).all(|row| row.iter().all(|&f| f == row[0]))
+        let k = self.lanes;
+        self.prefix_rows
+            .chunks(k)
+            .chain(self.cycle.chunks(k))
+            .all(|row| row.iter().all(|&f| f == row[0]))
     }
 
     /// The per-lane start delays, when this schedule is a pure start-delay
@@ -312,38 +337,53 @@ impl EnsembleSchedule {
     /// a (possibly empty) run of frozen rounds followed only by active
     /// ones. `None` for every other shape. The decider uses this to route
     /// start-delay ensembles to the solo-lasso closed form instead of the
-    /// product walk.
+    /// product walk, and the engines to constant-shift lanes.
     pub fn as_start_delays(&self) -> Option<Vec<u64>> {
-        if self.cycle.len() != 1 || self.cycle[0].iter().any(|&f| !f) {
+        if self.cycle_len() != 1 {
             return None;
         }
-        let mut delays = vec![0u64; self.lanes];
-        for (lane, delay) in delays.iter_mut().enumerate() {
-            let mut started = false;
-            for (r, row) in self.prefix.iter().enumerate() {
-                if row[lane] {
-                    started = true;
-                } else if started {
-                    return None; // frozen again after starting: not a delay
-                } else {
-                    *delay = r as u64 + 1;
-                }
+        (0..self.lanes).map(|lane| self.lane_delay(lane)).collect()
+    }
+
+    /// Lane `lane`'s start delay θ when the lane on its own is a pure start
+    /// delay: frozen through round θ, then active in every round.
+    fn lane_delay(&self, lane: usize) -> Option<u64> {
+        let k = self.lanes;
+        if self.cycle.iter().skip(lane).step_by(k).any(|&f| !f) {
+            return None;
+        }
+        let (mut delay, mut started) = (0, false);
+        for (&end, row) in self.prefix_ends.iter().zip(self.prefix_rows.chunks(k)) {
+            if row[lane] {
+                started = true;
+            } else if started {
+                return None; // frozen again after starting: not a delay
+            } else {
+                delay = end;
             }
         }
-        Some(delays)
+        Some(delay)
     }
 
     /// Activation arithmetic for lane `lane`.
     pub fn index(&self, lane: usize) -> ActivationIndex {
         assert!(lane < self.lanes, "lane {lane} out of range for {} lanes", self.lanes);
+        if let Some(theta) = self.lane_delay(lane) {
+            return ActivationIndex::shifted(theta);
+        }
+        let starts = std::iter::once(0).chain(self.prefix_ends.iter().copied());
+        let runs = self.prefix_ends.iter().zip(starts).zip(self.prefix_rows.chunks(self.lanes));
+        let prefix =
+            runs.flat_map(|((end, start), row)| repeat_n(row[lane], (end - start) as usize));
         ActivationIndex::from_flags(
-            self.prefix.iter().map(|row| row[lane]),
-            self.cycle.iter().map(|row| row[lane]),
+            prefix,
+            self.cycle.iter().skip(lane).step_by(self.lanes).copied(),
         )
     }
 }
 
-/// One agent's activation arithmetic under a [`Schedule`]: cumulative
+/// One lane's activation arithmetic under an [`EnsembleSchedule`] (a pair
+/// [`Schedule`] enters through [`EnsembleSchedule::from_pair`]): cumulative
 /// activation counts over the prefix and one cycle, answering both
 /// directions of the round ↔ activation-count correspondence in
 /// O(log(prefix + cycle)). This is the "schedule-aware cursor
@@ -352,22 +392,19 @@ impl EnsembleSchedule {
 /// merge's global clock is rounds.
 #[derive(Debug, Clone)]
 pub struct ActivationIndex {
+    /// Rounds `1..=shift` are frozen; the tables below then count from
+    /// round `shift + 1` as their round 1. A pure start delay θ is
+    /// `shift = θ` over the always-active tables, O(1) whatever θ.
+    shift: u64,
     /// `prefix_cum[i]` = activations in rounds `1..=i`; length `p + 1`.
-    prefix_cum: Vec<u64>,
+    prefix_cum: Cow<'static, [u64]>,
     /// `cycle_cum[i]` = activations in the first `i` cycle slots; length
     /// `c + 1`.
-    cycle_cum: Vec<u64>,
+    cycle_cum: Cow<'static, [u64]>,
 }
 
 impl ActivationIndex {
-    fn new(s: &Schedule, second: bool) -> Self {
-        let pick = |f: &(bool, bool)| if second { f.1 } else { f.0 };
-        Self::from_flags(s.prefix.iter().map(pick), s.cycle.iter().map(pick))
-    }
-
-    /// Activation arithmetic from one lane's raw flag streams — the
-    /// lane-agnostic constructor [`EnsembleSchedule::index`] shares with
-    /// the two-agent [`Schedule::index_a`]/[`Schedule::index_b`].
+    /// Activation arithmetic from one lane's raw flag streams.
     fn from_flags(prefix: impl Iterator<Item = bool>, cycle: impl Iterator<Item = bool>) -> Self {
         fn cum(flags: impl Iterator<Item = bool>) -> Vec<u64> {
             let mut v = vec![0u64];
@@ -377,7 +414,14 @@ impl ActivationIndex {
             }
             v
         }
-        ActivationIndex { prefix_cum: cum(prefix), cycle_cum: cum(cycle) }
+        ActivationIndex { shift: 0, prefix_cum: cum(prefix).into(), cycle_cum: cum(cycle).into() }
+    }
+
+    /// A lane frozen through round `theta` and active every round after.
+    fn shifted(theta: u64) -> Self {
+        // Borrowed tables: a start-delay lane's index allocates nothing.
+        let (prefix_cum, cycle_cum) = (Cow::Borrowed(&[0][..]), Cow::Borrowed(&[0, 1][..]));
+        ActivationIndex { shift: theta, prefix_cum, cycle_cum }
     }
 
     /// Activations per full cycle.
@@ -387,6 +431,7 @@ impl ActivationIndex {
 
     /// Number of activations in rounds `1..=round` (0 at round 0).
     pub fn acts_at(&self, round: u64) -> u64 {
+        let round = round.saturating_sub(self.shift);
         let p = (self.prefix_cum.len() - 1) as u64;
         if round <= p {
             return self.prefix_cum[round as usize];
@@ -406,7 +451,8 @@ impl ActivationIndex {
         let p = (self.prefix_cum.len() - 1) as u64;
         let in_prefix = self.prefix_cum[p as usize];
         if k <= in_prefix {
-            return Some(self.prefix_cum.partition_point(|&v| v < k) as u64);
+            let local = self.prefix_cum.partition_point(|&v| v < k) as u64;
+            return Some(local.saturating_add(self.shift));
         }
         let per = self.per_cycle();
         if per == 0 {
@@ -417,7 +463,11 @@ impl ActivationIndex {
         let full = (rem - 1) / per;
         let within = rem - full * per; // 1..=per
         let slot = self.cycle_cum.partition_point(|&v| v < within) as u64;
-        Some(p.saturating_add(full.saturating_mul(c)).saturating_add(slot))
+        Some(
+            p.saturating_add(full.saturating_mul(c))
+                .saturating_add(slot)
+                .saturating_add(self.shift),
+        )
     }
 
     /// Last global round at which the activation count is still below
@@ -435,21 +485,11 @@ impl ActivationIndex {
     /// round `θ`, active every round after — so `acts_at(r) = r − θ`
     /// (saturating) and the merge can run on constant-shift arithmetic
     /// instead of the cycle div/mod and binary searches. This covers the
-    /// simultaneous and start-delay lanes of every ensemble schedule (the
-    /// bulk of the sweep grids); crashed and intermittent lanes return
-    /// `None` and keep the general index.
+    /// simultaneous and θ-delayed lanes of every schedule (the bulk of
+    /// the sweep grids) and the survivors of a crash; crashed and
+    /// intermittent lanes keep the general index.
     pub(crate) fn as_pure_shift(&self) -> Option<u64> {
-        if self.cycle_cum.as_slice() != [0, 1] {
-            return None;
-        }
-        let p = self.prefix_cum.len() as u64 - 1;
-        let shift = p - self.prefix_cum[p as usize];
-        for (i, &v) in self.prefix_cum.iter().enumerate() {
-            if v != (i as u64).saturating_sub(shift) {
-                return None;
-            }
-        }
-        Some(shift)
+        (*self.prefix_cum == [0] && *self.cycle_cum == [0, 1]).then_some(self.shift)
     }
 }
 
@@ -468,6 +508,12 @@ mod tests {
         assert!(Schedule::start_delay(0).lane_symmetric());
     }
 
+    /// The activation arithmetic of a pair schedule's two lanes.
+    fn lane_indices(s: &Schedule) -> [ActivationIndex; 2] {
+        let e = EnsembleSchedule::from_pair(s);
+        [e.index(0), e.index(1)]
+    }
+
     /// Brute-force activation count straight off `Schedule::active`.
     fn brute_acts(s: &Schedule, second: bool, round: u64) -> u64 {
         (1..=round)
@@ -484,12 +530,13 @@ mod tests {
 
     #[test]
     fn constructors_have_the_advertised_shapes() {
-        assert_eq!(Schedule::simultaneous().as_start_delay(), Some(0));
+        let delays = |s: Schedule| EnsembleSchedule::from_pair(&s).as_start_delays();
+        assert_eq!(delays(Schedule::simultaneous()), Some(vec![0, 0]));
         assert_eq!(Schedule::start_delay(0), Schedule::simultaneous());
-        assert_eq!(Schedule::start_delay(3).as_start_delay(), Some(3));
+        assert_eq!(delays(Schedule::start_delay(3)), Some(vec![0, 3]));
         assert_eq!(Schedule::intermittent(1, 0), Schedule::simultaneous());
-        assert_eq!(Schedule::intermittent(2, 1).as_start_delay(), None);
-        assert_eq!(Schedule::crash_after(4).as_start_delay(), None);
+        assert_eq!(delays(Schedule::intermittent(2, 1)), None);
+        assert_eq!(delays(Schedule::crash_after(4)), None);
         // intermittent activates B exactly once per period, at the phase.
         let s = Schedule::intermittent(3, 1);
         for r in 1..=12u64 {
@@ -526,7 +573,7 @@ mod tests {
             Schedule::adversarial(0xFEED, 6, 5),
         ];
         for s in &schedules {
-            for (second, idx) in [(false, s.index_a()), (true, s.index_b())] {
+            for (second, idx) in [false, true].into_iter().zip(lane_indices(s)) {
                 for round in 0..=50u64 {
                     assert_eq!(
                         idx.acts_at(round),
@@ -547,7 +594,7 @@ mod tests {
             Schedule::adversarial(7, 5, 4),
         ];
         for s in &schedules {
-            for idx in [s.index_a(), s.index_b()] {
+            for idx in lane_indices(s) {
                 for k in 1..=30u64 {
                     match idx.round_of_act(k) {
                         Some(r) => {
@@ -574,7 +621,7 @@ mod tests {
 
     #[test]
     fn crashed_agent_has_finitely_many_activations() {
-        let idx = Schedule::crash_after(3).index_b();
+        let [_, idx] = lane_indices(&Schedule::crash_after(3));
         assert_eq!(idx.round_of_act(3), Some(3));
         assert_eq!(idx.round_of_act(4), None);
         assert_eq!(idx.frozen_through(3), u64::MAX);
@@ -615,16 +662,16 @@ mod tests {
         for s in &schedules {
             let e = EnsembleSchedule::from_pair(s);
             assert_eq!(e.lanes(), 2);
-            assert_eq!(e.pair().as_ref(), Some(s), "round trip");
             assert_eq!(e.lane_symmetric(), s.lane_symmetric());
             for r in 1..=40u64 {
                 let (a, b) = s.active(r);
                 assert_eq!(e.active(r), &[a, b], "{s:?} round {r}");
             }
-            for (lane, idx) in [(0, s.index_a()), (1, s.index_b())] {
+            for lane in 0..2 {
                 let ei = e.index(lane);
                 for r in 0..=40u64 {
-                    assert_eq!(ei.acts_at(r), idx.acts_at(r), "{s:?} lane {lane} round {r}");
+                    let brute = brute_acts(s, lane == 1, r);
+                    assert_eq!(ei.acts_at(r), brute, "{s:?} lane {lane} round {r}");
                 }
             }
         }
@@ -635,14 +682,15 @@ mod tests {
         // start_delays([0, θ]) is the legacy start-delay scenario.
         for theta in [0u64, 1, 5] {
             let e = EnsembleSchedule::start_delays(&[0, theta]);
-            assert_eq!(e.pair(), Some(Schedule::start_delay(theta)), "θ={theta}");
+            assert_eq!(e, EnsembleSchedule::from_pair(&Schedule::start_delay(theta)), "θ={theta}");
         }
         // crash_last_after over two lanes is crash_after.
-        assert_eq!(EnsembleSchedule::crash_last_after(2, 3).pair(), Some(Schedule::crash_after(3)));
+        let crash = EnsembleSchedule::crash_last_after(2, 3);
+        assert_eq!(crash, EnsembleSchedule::from_pair(&Schedule::crash_after(3)));
         // intermittent_last over two lanes is intermittent.
         assert_eq!(
-            EnsembleSchedule::intermittent_last(2, 3, 1).pair(),
-            Some(Schedule::intermittent(3, 1))
+            EnsembleSchedule::intermittent_last(2, 3, 1),
+            EnsembleSchedule::from_pair(&Schedule::intermittent(3, 1))
         );
         // Three lanes with staggered delays: lane i first acts at round
         // delays[i] + 1.
@@ -664,6 +712,32 @@ mod tests {
     #[should_panic(expected = "must cover all 3 lanes")]
     fn ragged_ensemble_rows_are_rejected() {
         let _ = EnsembleSchedule::new(3, Vec::new(), vec![vec![true, true]]);
+    }
+
+    #[test]
+    fn start_delays_store_one_run_per_distinct_delay() {
+        // The run-length prefix is canonical: the same rows compare equal
+        // however they were built.
+        let e = EnsembleSchedule::start_delays(&[0, 3]);
+        assert_eq!(e, EnsembleSchedule::from_pair(&Schedule::start_delay(3)));
+        assert_eq!(e.prefix_ends, vec![3]);
+        let e = EnsembleSchedule::start_delays(&[4, 0, 9, 4]);
+        assert_eq!(e.prefix_ends, vec![4, 9], "one run per distinct nonzero delay");
+        assert_eq!(e.prefix_len(), 9);
+        for r in 1..=12u64 {
+            assert_eq!(e.active(r), &[r > 4, true, r > 9, r > 4], "round {r}");
+        }
+        // A delay past any materializable prefix is two runs of two flags,
+        // and its lane index is pure shift arithmetic.
+        let theta = 1_000_000_000_000u64;
+        let e = EnsembleSchedule::start_delays(&[0, theta, 0]);
+        assert_eq!(e.prefix_len(), theta);
+        assert_eq!(e.as_start_delays(), Some(vec![0, theta, 0]));
+        assert_eq!(e.active(theta), &[true, false, true]);
+        assert_eq!(e.active(theta + 1), &[true, true, true]);
+        assert_eq!(e.index(1).acts_at(theta + 5), 5);
+        assert_eq!(e.index(1).round_of_act(1), Some(theta + 1));
+        assert_eq!(e.index(1).as_pure_shift(), Some(theta));
     }
 
     #[test]

@@ -3,13 +3,16 @@
 //!
 //! The paper's agents are deterministic and oblivious: the node an agent
 //! occupies after `k` activations is a pure function of `(tree, start,
-//! agent)` — the peer never influences it (meeting is co-location, not
-//! interaction), and the adversary's start delay θ merely *shifts* agent
-//! B's timeline by θ rounds. So a `(delay, pair)` question never needs the
-//! agents stepped again: record each trajectory once ([`TraceRecorder`]),
-//! then decide meeting/crossing by a two-pointer merge over the two
-//! run-length–encoded timelines ([`replay_pair`]), or sweep a whole delay
-//! column in one call ([`delay_scan`]).
+//! agent)` — no peer influences it (meeting is co-location, not
+//! interaction), and the adversary's schedule merely re-times each
+//! timeline (a start delay θ *shifts* it by θ rounds). So a `(schedule,
+//! starts)` question never needs the agents stepped again: record each
+//! trajectory once ([`TraceRecorder`]), then decide gathering and
+//! crossings by a merge over the run-length–encoded timelines
+//! ([`replay_ensemble`]), or sweep a whole delay column in one call
+//! ([`gathering_scan`]). One merge serves every lane count: at `k = 2`
+//! gathering is the paper's rendezvous, and the pair is just the two-lane
+//! ensemble.
 //!
 //! Three properties make the merge cheap:
 //!
@@ -17,8 +20,8 @@
 //!   runs, so the long passive windows of schedule-based agents (e.g. the
 //!   delay-robust baseline, whose period is ≫ its 4n-round active window)
 //!   cost one entry, and the merge jumps joint-stay spans in O(1): inside a
-//!   span neither agent moves, so no meeting (positions are unequal and
-//!   constant) and no crossing (a crossing requires both agents to move)
+//!   span no agent moves, so no meeting (positions are constant and not
+//!   all equal) and no crossing (a crossing requires two agents to move)
 //!   can occur.
 //! * **Idle spans and fixed-point tails.** An agent that reports an idle
 //!   span ([`Agent::idle_span`]; e.g. the delay-robust baseline between
@@ -33,15 +36,17 @@
 //!   ([`TraceRecorder::record_to`]) and cached across questions; replay
 //!   results are independent of how eagerly the recording grew.
 //!
-//! [`replay_pair`] reproduces [`crate::run_pair`] *exactly* — outcome,
-//! meeting round, crossing count, final cursors (entry ports reconstructed
-//! from the node timeline; on a tree, a move always changes the node, so
-//! `entry = None` iff the last action was a stay) and optional traces. The
-//! differential property test in `tests/property_tests.rs` pins this
-//! equivalence across random trees, starts, delays and agent variants.
+//! [`replay_ensemble`] reproduces [`crate::run_ensemble`] *exactly* —
+//! outcome, meeting round, crossing count, pair meetings, final cursors
+//! (entry ports reconstructed from the node timeline; on a tree, a move
+//! always changes the node, so `entry = None` iff the last action was a
+//! stay) and optional traces. The differential property tests in
+//! `tests/property_tests.rs` pin this equivalence at `k = 2` against
+//! [`crate::run_pair`] and [`crate::run_pair_scheduled`] across random
+//! trees, starts, delays, schedules and agent variants.
 
-use crate::runner::{pair_index, Cursor, EnsembleRun, Outcome, PairConfig, PairRun};
-use crate::schedule::{ActivationIndex, EnsembleSchedule, Schedule};
+use crate::runner::{pair_index, Cursor, EnsembleRun, Outcome};
+use crate::schedule::{ActivationIndex, EnsembleSchedule};
 use rvz_agent::model::{Action, Agent};
 use rvz_trees::{NodeId, Port, Tree};
 
@@ -184,15 +189,6 @@ impl Trajectory {
     pub fn bits_at(&self, acts: u64) -> u64 {
         let i = self.bits.partition_point(|m| m.acts <= acts);
         self.bits[i - 1].bits
-    }
-
-    /// The explicit node timeline for global rounds `0..=upto` of an agent
-    /// whose start was delayed by `shift` rounds (tests / trace output; the
-    /// merge itself never materializes this).
-    fn materialize(&self, upto: u64, shift: u64) -> Vec<NodeId> {
-        (0..=upto)
-            .map(|r| self.position(r.saturating_sub(shift)).expect("within recorded horizon"))
-            .collect()
     }
 
     /// Serializes the recording into the versioned little-endian RLE wire
@@ -383,55 +379,84 @@ impl<A: Agent> TraceRecorder<A> {
     }
 }
 
-/// Replay verdict: either the full [`PairRun`] (bit-for-bit what
-/// [`crate::run_pair`] returns), or a request for longer recordings.
-#[derive(Debug, Clone)]
-pub enum Replay {
-    Decided(PairRun),
-    /// The merge ran past a recorded horizon before deciding: record agent
-    /// A to at least `a_rounds` rounds (and B to `b_rounds`) and retry.
-    NeedMore {
-        a_rounds: u64,
-        b_rounds: u64,
-    },
+/// How a lane's global round clock maps onto its recording, which is
+/// indexed by *activation count* (the frozen semantics makes an agent's
+/// k-th activation schedule-independent, so re-timing is all a schedule
+/// does to a recording). A lane that is on its own a pure start delay θ
+/// ([`ActivationIndex::as_pure_shift`]) takes constant-shift arithmetic:
+/// frozen through round θ (the delayed agent sits at home and can be met
+/// there, per the §2.1 scenario), active every round after. That is the
+/// common case (simultaneous and θ-delayed lanes), where the general
+/// index's per-round cycle div/mod and binary searches would dominate the
+/// merge. Both forms give identical answers where the shift applies, so
+/// the choice is invisible in output. The clock and `Lane::locate` are
+/// forced inline: without that, cold e6 replay (perfbench `replay-cold`,
+/// 2-core x86-64) took ~8% more CPU.
+enum LaneClock<'a> {
+    Shift(u64),
+    Index(&'a ActivationIndex),
 }
 
-/// A trajectory viewed at a start-delay offset: local round `l` of the
-/// underlying recording answers global round `l + shift`, and rounds
-/// `0..=shift` are parked at the start (the delayed agent sits at home and
-/// can be met there, per the §2.1 scenario).
+impl<'a> LaneClock<'a> {
+    fn of(idx: &'a ActivationIndex) -> Self {
+        idx.as_pure_shift().map_or(LaneClock::Index(idx), LaneClock::Shift)
+    }
+
+    /// Activations in rounds `1..=r`.
+    #[inline(always)]
+    fn acts_at(&self, r: u64) -> u64 {
+        match *self {
+            LaneClock::Shift(theta) => r.saturating_sub(theta),
+            LaneClock::Index(idx) => idx.acts_at(r),
+        }
+    }
+
+    /// Last global round at which the count is still `acts`
+    /// (`u64::MAX` when activation `acts + 1` never comes).
+    #[inline(always)]
+    fn frozen_through(&self, acts: u64) -> u64 {
+        match *self {
+            LaneClock::Shift(theta) => acts.saturating_add(theta),
+            LaneClock::Index(idx) => idx.frozen_through(acts),
+        }
+    }
+}
+
+/// A recorded trajectory on a lane's clock — one cursor of the merge.
 struct Lane<'a> {
     traj: &'a Trajectory,
-    shift: u64,
-    idx: usize,
+    clock: LaneClock<'a>,
+    run: usize,
 }
 
 impl<'a> Lane<'a> {
-    fn new(traj: &'a Trajectory, shift: u64) -> Self {
-        Lane { traj, shift, idx: 0 }
+    fn new(traj: &'a Trajectory, idx: &'a ActivationIndex) -> Self {
+        Lane { traj, clock: LaneClock::of(idx), run: 0 }
     }
 
     /// Node at global round `r` plus the last global round through which
-    /// that node provably persists (the jump target for joint-stay spans).
+    /// that node provably persists (frozen rounds extend a run's span past
+    /// its activation-count end; the jump target for joint-stay spans).
     /// `None` when `r` is beyond the recorded horizon of an open tail.
     /// Calls must be monotone in `r` (the run index only advances).
+    #[inline(always)]
     fn locate(&mut self, r: u64) -> Option<(NodeId, u64)> {
-        let l = r.saturating_sub(self.shift);
+        let l = self.clock.acts_at(r);
         if l == 0 {
-            return Some((self.traj.start, self.shift));
+            return Some((self.traj.start, self.clock.frozen_through(0)));
         }
         if l > self.traj.rounds {
             return self.traj.fixed.then(|| (self.traj.last_node(), u64::MAX));
         }
         let runs = &self.traj.runs;
-        while runs[self.idx].end < l {
-            self.idx += 1;
+        while runs[self.run].end < l {
+            self.run += 1;
         }
-        let run = runs[self.idx];
+        let run = runs[self.run];
         let end = if run.end == self.traj.rounds && self.traj.fixed {
             u64::MAX
         } else {
-            run.end.saturating_add(self.shift)
+            self.clock.frozen_through(run.end)
         };
         Some((run.node, end))
     }
@@ -446,203 +471,12 @@ fn entry_port_from(t: &Tree, prev: NodeId, cur: NodeId) -> Port {
         .expect("consecutive trajectory nodes are adjacent")
 }
 
-/// Final cursor of an agent at global round `r`, reconstructed from its
-/// timeline: on a tree every move changes the node, so the entry port is
-/// `None` iff the position did not change in round `r`.
-fn cursor_at(t: &Tree, traj: &Trajectory, shift: u64, r: u64) -> Cursor {
-    let pos = |r: u64| traj.position(r.saturating_sub(shift)).expect("decided range");
-    let node = pos(r);
-    let entry = if r == 0 || pos(r - 1) == node {
-        None
-    } else {
-        Some(entry_port_from(t, pos(r - 1), node))
-    };
-    Cursor { node, entry }
-}
-
-/// Builds the [`PairRun`] for a decided merge ending at global round `r`.
-fn finish(
-    t: &Tree,
-    ta: &Trajectory,
-    tb: &Trajectory,
-    cfg: PairConfig,
-    outcome: Outcome,
-    r: u64,
-    crossings: u64,
-) -> PairRun {
-    PairRun {
-        outcome,
-        crossings,
-        final_a: cursor_at(t, ta, 0, r),
-        final_b: cursor_at(t, tb, cfg.delay, r),
-        trace_a: cfg.record_traces.then(|| ta.materialize(r, 0)),
-        trace_b: cfg.record_traces.then(|| tb.materialize(r, cfg.delay)),
-    }
-}
-
-/// Decides a two-agent run from recorded trajectories alone — no agent is
-/// stepped. Agent B's timeline is shifted by `cfg.delay`. Returns exactly
-/// what [`crate::run_pair`] returns on the same instance, or
-/// [`Replay::NeedMore`] when a recording is too short to decide.
-///
-/// Cost: O(runs overlapping the decided range + rounds in which either
-/// agent moves), not O(rounds) — joint-stay spans are jumped, and two
-/// fixed tails settle a timeout instantly whatever the budget.
-pub fn replay_pair(t: &Tree, ta: &Trajectory, tb: &Trajectory, cfg: PairConfig) -> Replay {
-    let budget = cfg.max_rounds;
-    if ta.start == tb.start {
-        let run = finish(t, ta, tb, cfg, Outcome::Met { round: 0, node: ta.start }, 0, 0);
-        return Replay::Decided(run);
-    }
-    let mut lane_a = Lane::new(ta, 0);
-    let mut lane_b = Lane::new(tb, cfg.delay);
-    let mut prev_a = ta.start;
-    let mut prev_b = tb.start;
-    let mut crossings = 0u64;
-    let mut r = 0u64;
-    while r < budget {
-        r += 1;
-        if r & 0xFFF == 0 {
-            crate::cancel::checkpoint();
-        }
-        // A lane that is already decided through round r reports 0 — the
-        // caller must not grow (re-step) a recording that was long enough.
-        let need = |r: u64, ta: &Trajectory, tb: &Trajectory| Replay::NeedMore {
-            a_rounds: if ta.decided_to(r) { 0 } else { r },
-            b_rounds: {
-                let l = r.saturating_sub(cfg.delay);
-                if tb.decided_to(l) {
-                    0
-                } else {
-                    l
-                }
-            },
-        };
-        let Some((na, ea)) = lane_a.locate(r) else {
-            return need(r, ta, tb);
-        };
-        let Some((nb, eb)) = lane_b.locate(r) else {
-            return need(r, ta, tb);
-        };
-        if na == prev_b && nb == prev_a && na != nb {
-            crossings += 1;
-        }
-        if na == nb {
-            let run = finish(t, ta, tb, cfg, Outcome::Met { round: r, node: na }, r, crossings);
-            return Replay::Decided(run);
-        }
-        prev_a = na;
-        prev_b = nb;
-        // Both agents sit still through min(ea, eb): no moves, hence no
-        // crossings and no meeting (unequal constant positions) — jump.
-        r = r.max(ea.min(eb).min(budget));
-    }
-    let run = finish(t, ta, tb, cfg, Outcome::Timeout { rounds: budget }, budget, crossings);
-    Replay::Decided(run)
-}
-
-/// Answers an entire delay column for one recorded pair: one
-/// [`replay_pair`] verdict per `(delay, max_rounds)` entry, in order.
-///
-/// Each delay is one diagonal of the joint `(round_a, round_b)` offset
-/// lattice, and each diagonal is merged independently over the shared run
-/// lists — a column costs one merge *per delay* (each O(runs overlapping
-/// its decided range)), with the agents never stepped: the two recordings
-/// are shared across all offsets, which is where the win over per-cell
-/// stepping comes from. The sweep executor reaches the same sharing
-/// through its trace store (one [`replay_pair`] per cell against cached
-/// recordings); this entry point is the column-at-once convenience API.
-pub fn delay_scan(
-    t: &Tree,
-    ta: &Trajectory,
-    tb: &Trajectory,
-    columns: &[(u64, u64)],
-) -> Vec<Replay> {
-    columns
-        .iter()
-        .map(|&(delay, max_rounds)| {
-            let cfg = PairConfig { delay, max_rounds, record_traces: false };
-            replay_pair(t, ta, tb, cfg)
-        })
-        .collect()
-}
-
-/// A trajectory viewed through a [`Schedule`]: the recording is indexed
-/// by *activation count* (the frozen semantics makes an agent's k-th
-/// activation schedule-independent), and the [`ActivationIndex`] converts
-/// the merge's global round clock into local activation counts — the
-/// schedule-aware generalization of the shift arithmetic in [`Lane`].
-struct SchedLane<'a> {
-    traj: &'a Trajectory,
-    idx: &'a ActivationIndex,
-    run_idx: usize,
-}
-
-impl<'a> SchedLane<'a> {
-    fn new(traj: &'a Trajectory, idx: &'a ActivationIndex) -> Self {
-        SchedLane { traj, idx, run_idx: 0 }
-    }
-
-    /// Node at global round `r` plus the last global round through which
-    /// that node provably persists (frozen rounds extend a run's span
-    /// past its activation-count end). `None` beyond the recorded horizon
-    /// of an open tail. Calls must be monotone in `r`.
-    fn locate(&mut self, r: u64) -> Option<(NodeId, u64)> {
-        let l = self.idx.acts_at(r);
-        if l == 0 {
-            return Some((self.traj.start, self.idx.frozen_through(0)));
-        }
-        if l > self.traj.rounds {
-            return self.traj.fixed.then(|| (self.traj.last_node(), u64::MAX));
-        }
-        let runs = &self.traj.runs;
-        while runs[self.run_idx].end < l {
-            self.run_idx += 1;
-        }
-        let run = runs[self.run_idx];
-        let end = if run.end == self.traj.rounds && self.traj.fixed {
-            u64::MAX
-        } else {
-            self.idx.frozen_through(run.end)
-        };
-        Some((run.node, end))
-    }
-}
-
-/// One lane of the ensemble merge: pure start-delay lanes run on
-/// [`Lane`]'s constant-shift arithmetic (the common case — simultaneous
-/// and θ-delayed lanes — where the general index's per-round cycle
-/// div/mod and binary searches would dominate the merge), everything
-/// else on [`SchedLane`]. Both produce identical `(node, span_end)`
-/// answers on the lanes the shift form admits
-/// ([`ActivationIndex::as_pure_shift`]), so the split is invisible in
-/// output.
-enum MergeLane<'a> {
-    Shift(Lane<'a>),
-    Sched(SchedLane<'a>),
-}
-
-impl<'a> MergeLane<'a> {
-    fn new(traj: &'a Trajectory, idx: &'a ActivationIndex) -> Self {
-        match idx.as_pure_shift() {
-            Some(shift) => MergeLane::Shift(Lane::new(traj, shift)),
-            None => MergeLane::Sched(SchedLane::new(traj, idx)),
-        }
-    }
-
-    fn locate(&mut self, r: u64) -> Option<(NodeId, u64)> {
-        match self {
-            MergeLane::Shift(lane) => lane.locate(r),
-            MergeLane::Sched(lane) => lane.locate(r),
-        }
-    }
-}
-
-/// Final cursor of a scheduled agent at global round `r`: position and
-/// entry come from the cursor its latest activation left behind (frozen
-/// rounds change nothing, so the comparison runs on *local* activation
-/// counts, not global rounds).
-fn cursor_at_scheduled(t: &Tree, traj: &Trajectory, idx: &ActivationIndex, r: u64) -> Cursor {
+/// Final cursor of an agent at global round `r`: position and entry come
+/// from the cursor its latest activation left behind (frozen rounds change
+/// nothing, so the comparison runs on *local* activation counts, not
+/// global rounds). On a tree every move changes the node, so the entry
+/// port is `None` iff that activation was a stay.
+fn final_cursor(t: &Tree, traj: &Trajectory, idx: &ActivationIndex, r: u64) -> Cursor {
     let l = idx.acts_at(r);
     let node = traj.position(l).expect("decided range");
     let entry = if l == 0 {
@@ -658,120 +492,9 @@ fn cursor_at_scheduled(t: &Tree, traj: &Trajectory, idx: &ActivationIndex, r: u6
     Cursor { node, entry }
 }
 
-/// Builds the [`PairRun`] for a decided scheduled merge ending at global
-/// round `r`.
-#[allow(clippy::too_many_arguments)]
-fn finish_scheduled(
-    t: &Tree,
-    ta: &Trajectory,
-    tb: &Trajectory,
-    (idx_a, idx_b): (&ActivationIndex, &ActivationIndex),
-    record_traces: bool,
-    outcome: Outcome,
-    r: u64,
-    crossings: u64,
-) -> PairRun {
-    let materialize = |traj: &Trajectory, idx: &ActivationIndex| {
-        (0..=r).map(|g| traj.position(idx.acts_at(g)).expect("decided range")).collect()
-    };
-    PairRun {
-        outcome,
-        crossings,
-        final_a: cursor_at_scheduled(t, ta, idx_a, r),
-        final_b: cursor_at_scheduled(t, tb, idx_b, r),
-        trace_a: record_traces.then(|| materialize(ta, idx_a)),
-        trace_b: record_traces.then(|| materialize(tb, idx_b)),
-    }
-}
-
-/// Decides a two-agent run under an arbitrary activation [`Schedule`]
-/// from recorded trajectories alone — no agent is stepped. Returns
-/// exactly what [`crate::run_pair_scheduled`] returns on the same
-/// instance, or [`Replay::NeedMore`] when a recording is too short
-/// (the reported counts are *activation* counts — exactly what
-/// [`TraceRecorder::record_to`] takes, since a solo recording advances
-/// one activation per recorded round).
-///
-/// This is why schedules ride on the unchanged trace store: the frozen
-/// semantics makes a solo trajectory a pure function of `(tree, start,
-/// agent)` indexed by activation count, so one recording answers every
-/// schedule — the merge only re-times it through the
-/// [`ActivationIndex`]es.
-pub fn replay_pair_scheduled(
-    t: &Tree,
-    ta: &Trajectory,
-    tb: &Trajectory,
-    schedule: &Schedule,
-    max_rounds: u64,
-    record_traces: bool,
-) -> Replay {
-    let idx_a = schedule.index_a();
-    let idx_b = schedule.index_b();
-    let idx = (&idx_a, &idx_b);
-    if ta.start == tb.start {
-        let outcome = Outcome::Met { round: 0, node: ta.start };
-        return Replay::Decided(finish_scheduled(t, ta, tb, idx, record_traces, outcome, 0, 0));
-    }
-    let mut lane_a = SchedLane::new(ta, &idx_a);
-    let mut lane_b = SchedLane::new(tb, &idx_b);
-    let mut prev_a = ta.start;
-    let mut prev_b = tb.start;
-    let mut crossings = 0u64;
-    let mut r = 0u64;
-    while r < max_rounds {
-        r += 1;
-        if r & 0xFFF == 0 {
-            crate::cancel::checkpoint();
-        }
-        // As in [`replay_pair`]: a lane already decided through round r
-        // reports 0 — the caller must not re-step a sufficient recording.
-        let need = |r: u64| {
-            let lane = |idx: &ActivationIndex, traj: &Trajectory| {
-                let l = idx.acts_at(r);
-                if traj.decided_to(l) {
-                    0
-                } else {
-                    l
-                }
-            };
-            Replay::NeedMore { a_rounds: lane(&idx_a, ta), b_rounds: lane(&idx_b, tb) }
-        };
-        let Some((na, ea)) = lane_a.locate(r) else {
-            return need(r);
-        };
-        let Some((nb, eb)) = lane_b.locate(r) else {
-            return need(r);
-        };
-        if na == prev_b && nb == prev_a && na != nb {
-            crossings += 1;
-        }
-        if na == nb {
-            let outcome = Outcome::Met { round: r, node: na };
-            return Replay::Decided(finish_scheduled(
-                t,
-                ta,
-                tb,
-                idx,
-                record_traces,
-                outcome,
-                r,
-                crossings,
-            ));
-        }
-        prev_a = na;
-        prev_b = nb;
-        // Neither cursor changes through min(ea, eb): frozen agents and
-        // stay-runs alike produce no moves, hence no crossing and no
-        // meeting (unequal constant positions) — jump.
-        r = r.max(ea.min(eb).min(max_rounds));
-    }
-    let outcome = Outcome::Timeout { rounds: max_rounds };
-    Replay::Decided(finish_scheduled(t, ta, tb, idx, record_traces, outcome, max_rounds, crossings))
-}
-
-/// Ensemble replay verdict: either the full [`EnsembleRun`] (bit-for-bit
-/// what [`crate::run_ensemble`] returns), or a per-lane request for
-/// longer recordings (activation counts; 0 = that lane is long enough).
+/// Replay verdict: either the full [`EnsembleRun`] (bit-for-bit what
+/// [`crate::run_ensemble`] returns), or a per-lane request for longer
+/// recordings (activation counts; 0 = that lane is long enough).
 #[derive(Debug, Clone)]
 pub enum EnsembleReplay {
     Decided(EnsembleRun),
@@ -779,20 +502,25 @@ pub enum EnsembleReplay {
 }
 
 /// Decides a k-agent gathering run under an [`EnsembleSchedule`] from
-/// recorded solo trajectories alone — no agent is stepped. The store
-/// keys stay per-agent: trajectories are pure functions of `(tree,
-/// start, agent)` indexed by activation count, so the same recordings
-/// that answer every two-agent schedule answer every k-lane ensemble —
-/// the merge re-times each through its lane's [`ActivationIndex`] and
-/// generalizes the O(1) joint-stay span jump to k cursors (inside a span
-/// no lane moves, so no crossing, no new pair co-location, and no
-/// gathering can first occur there).
+/// recorded solo trajectories alone — no agent is stepped. At `k = 2`
+/// gathering is rendezvous: this is the pair replay, and a start delay θ
+/// on lane 1 is the paper's delayed agent B. The store keys stay
+/// per-agent: trajectories are pure functions of `(tree, start, agent)`
+/// indexed by activation count, so one recording per agent answers every
+/// schedule and every ensemble it takes part in — the merge re-times each
+/// through its lane's [`ActivationIndex`] and jumps joint-stay spans in
+/// O(1) (inside a span no lane moves, so no crossing, no new pair
+/// co-location, and no gathering can first occur there).
 ///
 /// Returns exactly what [`crate::run_ensemble`] returns on the same
 /// instance — outcome, crossings, pair meetings, final cursors and
 /// optional traces — or [`EnsembleReplay::NeedMore`] when a recording is
 /// too short (per-lane *activation* counts, exactly what
 /// [`TraceRecorder::record_to`] takes).
+///
+/// Cost: O(runs overlapping the decided range + rounds in which some lane
+/// moves), not O(rounds); fixed tails and crashed lanes settle a timeout
+/// instantly whatever the budget.
 pub fn replay_ensemble(
     t: &Tree,
     trajs: &[&Trajectory],
@@ -800,11 +528,62 @@ pub fn replay_ensemble(
     max_rounds: u64,
     record_traces: bool,
 ) -> EnsembleReplay {
+    assert_eq!(
+        schedule.lanes(),
+        trajs.len(),
+        "the schedule must cover exactly the ensemble's lanes"
+    );
     let k = trajs.len();
-    assert_eq!(schedule.lanes(), k, "the schedule must cover exactly the ensemble's lanes");
     assert!(k >= 2, "an ensemble needs at least two agents");
-    let indices: Vec<ActivationIndex> = (0..k).map(|lane| schedule.index(lane)).collect();
-    let mut pair_meetings: Vec<Option<u64>> = vec![None; k * (k - 1) / 2];
+    // Two lanes keep every per-lane buffer in a fixed-length array, so the
+    // one merge below compiles with its lane loops unrolled for pairs.
+    match *trajs {
+        [a, b] => {
+            let indices = [schedule.index(0), schedule.index(1)];
+            let (trajs, prev, nodes) = (&[a, b], &mut [a.start(), b.start()], &mut [0; 2]);
+            let lanes = &mut [Lane::new(a, &indices[0]), Lane::new(b, &indices[1])];
+            let (budget, traces) = (max_rounds, record_traces);
+            merge(t, trajs, &indices, lanes, prev, nodes, &mut [None], budget, traces)
+        }
+        _ => {
+            let indices: Vec<ActivationIndex> = (0..k).map(|lane| schedule.index(lane)).collect();
+            let mut lanes: Vec<Lane> =
+                trajs.iter().zip(&indices).map(|(tr, idx)| Lane::new(tr, idx)).collect();
+            let mut prev: Vec<NodeId> = trajs.iter().map(|tr| tr.start()).collect();
+            let mut pair_meetings = vec![None; k * (k - 1) / 2];
+            let nodes = &mut vec![0; k];
+            merge(
+                t,
+                trajs,
+                &indices,
+                &mut lanes,
+                &mut prev,
+                nodes,
+                &mut pair_meetings,
+                max_rounds,
+                record_traces,
+            )
+        }
+    }
+}
+
+/// The k-cursor merge behind [`replay_ensemble`]. `prev` holds the starts
+/// on entry; `nodes` and `pair_meetings` are working buffers of `k` and
+/// `k(k−1)/2` entries.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn merge(
+    t: &Tree,
+    trajs: &[&Trajectory],
+    indices: &[ActivationIndex],
+    lanes: &mut [Lane],
+    prev: &mut [NodeId],
+    nodes: &mut [NodeId],
+    pair_meetings: &mut [Option<u64>],
+    max_rounds: u64,
+    record_traces: bool,
+) -> EnsembleReplay {
+    let k = trajs.len();
 
     // Records first co-locations for this round and answers whether the
     // whole ensemble is gathered — the same rule as the stepping core.
@@ -822,34 +601,45 @@ pub fn replay_ensemble(
         all
     };
 
-    let finish = |outcome: Outcome, r: u64, crossings: u64, pair_meetings: Vec<Option<u64>>| {
-        let finals = trajs
-            .iter()
-            .zip(&indices)
-            .map(|(tr, idx)| cursor_at_scheduled(t, tr, idx, r))
-            .collect();
+    let finish = |outcome: Outcome, r: u64, crossings: u64, pair_meetings: &[Option<u64>]| {
+        let finals =
+            trajs.iter().zip(indices).map(|(tr, idx)| final_cursor(t, tr, idx, r)).collect();
         let traces = record_traces.then(|| {
             trajs
                 .iter()
-                .zip(&indices)
+                .zip(indices)
                 .map(|(tr, idx)| {
                     (0..=r).map(|g| tr.position(idx.acts_at(g)).expect("decided range")).collect()
                 })
                 .collect()
         });
+        let pair_meetings = pair_meetings.to_vec();
         EnsembleReplay::Decided(EnsembleRun { outcome, crossings, finals, traces, pair_meetings })
     };
 
-    let starts: Vec<NodeId> = trajs.iter().map(|tr| tr.start()).collect();
-    if check(&starts, 0, &mut pair_meetings) {
-        let node = starts[0];
+    // A lane already decided through round r reports 0 — the caller must
+    // not re-step a recording that was long enough.
+    let need_more = |r: u64| {
+        let rounds = trajs
+            .iter()
+            .zip(indices)
+            .map(|(tr, idx)| {
+                let l = idx.acts_at(r);
+                if tr.decided_to(l) {
+                    0
+                } else {
+                    l
+                }
+            })
+            .collect();
+        EnsembleReplay::NeedMore { rounds }
+    };
+
+    if check(prev, 0, pair_meetings) {
+        let node = prev[0];
         return finish(Outcome::Met { round: 0, node }, 0, 0, pair_meetings);
     }
 
-    let mut lanes: Vec<MergeLane> =
-        trajs.iter().zip(&indices).map(|(tr, idx)| MergeLane::new(tr, idx)).collect();
-    let mut prev = starts.clone();
-    let mut nodes: Vec<NodeId> = vec![0; k];
     let mut crossings = 0u64;
     let mut r = 0u64;
     while r < max_rounds {
@@ -857,36 +647,13 @@ pub fn replay_ensemble(
         if r & 0xFFF == 0 {
             crate::cancel::checkpoint();
         }
-        // A lane already decided through round r reports 0 — the caller
-        // must not re-step a recording that was long enough.
         let mut span_end = u64::MAX;
-        let mut missing = false;
-        for (i, lane) in lanes.iter_mut().enumerate() {
-            match lane.locate(r) {
-                Some((node, end)) => {
-                    nodes[i] = node;
-                    span_end = span_end.min(end);
-                }
-                None => {
-                    missing = true;
-                    break;
-                }
-            }
-        }
-        if missing {
-            let rounds = trajs
-                .iter()
-                .zip(&indices)
-                .map(|(tr, idx)| {
-                    let l = idx.acts_at(r);
-                    if tr.decided_to(l) {
-                        0
-                    } else {
-                        l
-                    }
-                })
-                .collect();
-            return EnsembleReplay::NeedMore { rounds };
+        for (node, lane) in nodes.iter_mut().zip(lanes.iter_mut()) {
+            let Some((at, end)) = lane.locate(r) else {
+                return need_more(r);
+            };
+            *node = at;
+            span_end = span_end.min(end);
         }
         for i in 0..k {
             for j in (i + 1)..k {
@@ -895,11 +662,11 @@ pub fn replay_ensemble(
                 }
             }
         }
-        if check(&nodes, r, &mut pair_meetings) {
+        if check(nodes, r, pair_meetings) {
             let node = nodes[0];
             return finish(Outcome::Met { round: r, node }, r, crossings, pair_meetings);
         }
-        prev.copy_from_slice(&nodes);
+        prev.copy_from_slice(nodes);
         // No lane's cursor changes through span_end: no moves, hence no
         // crossing, no new pair co-location, and no gathering — jump.
         r = r.max(span_end.min(max_rounds));
@@ -909,10 +676,10 @@ pub fn replay_ensemble(
 
 /// Answers an entire per-lane delay column for one recorded ensemble:
 /// one [`replay_ensemble`] verdict per `(delays, max_rounds)` entry, in
-/// order — the k-lane sibling of [`delay_scan`], sharing the same `k`
-/// recordings across every delay vector in the column. Each delay vector
-/// is the start-delay schedule freezing lane `i` through round
-/// `delays[i]`.
+/// order, sharing the same `k` recordings across every delay vector in
+/// the column (at `k = 2` with `delays = [0, θ]`, the paper's delay
+/// column for one start pair). Each delay vector is the start-delay
+/// schedule freezing lane `i` through round `delays[i]`.
 pub fn gathering_scan(
     t: &Tree,
     trajs: &[&Trajectory],
@@ -928,28 +695,11 @@ pub fn gathering_scan(
         .collect()
 }
 
-/// Answers an entire schedule column for one recorded pair: one
-/// [`replay_pair_scheduled`] verdict per `(schedule, max_rounds)` entry,
-/// in order — the schedule-axis sibling of [`delay_scan`], sharing the
-/// same two recordings across every schedule in the column.
-pub fn schedule_scan(
-    t: &Tree,
-    ta: &Trajectory,
-    tb: &Trajectory,
-    columns: &[(Schedule, u64)],
-) -> Vec<Replay> {
-    columns
-        .iter()
-        .map(|(schedule, max_rounds)| {
-            replay_pair_scheduled(t, ta, tb, schedule, *max_rounds, false)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_pair, run_pair_scheduled};
+    use crate::runner::{run_pair, run_pair_scheduled, PairConfig};
+    use crate::schedule::Schedule;
     use rvz_agent::model::{bw_exit, Action, Obs};
     use rvz_trees::generators::{line, spider, star};
 
@@ -1005,18 +755,38 @@ mod tests {
     ) {
         let ta = record(t, a, A::default(), horizon);
         let tb = record(t, b, A::default(), horizon);
-        let Replay::Decided(replayed) = replay_pair(t, &ta, &tb, cfg) else {
+        let sched = EnsembleSchedule::start_delays(&[0, cfg.delay]);
+        let EnsembleReplay::Decided(replayed) =
+            replay_ensemble(t, &[&ta, &tb], &sched, cfg.max_rounds, cfg.record_traces)
+        else {
             panic!("horizon {horizon} must decide the run");
         };
         let mut x = A::default();
         let mut y = A::default();
         let direct = run_pair(t, a, b, &mut x, &mut y, cfg);
-        assert_eq!(replayed.outcome, direct.outcome);
-        assert_eq!(replayed.crossings, direct.crossings);
-        assert_eq!(replayed.final_a, direct.final_a);
-        assert_eq!(replayed.final_b, direct.final_b);
-        assert_eq!(replayed.trace_a, direct.trace_a);
-        assert_eq!(replayed.trace_b, direct.trace_b);
+        assert_pair_run(&replayed, &direct, "");
+    }
+
+    /// A two-lane replay is bit-for-bit the pair run it replays.
+    fn assert_pair_run(replayed: &EnsembleRun, direct: &crate::PairRun, what: &str) {
+        assert_eq!(replayed.outcome, direct.outcome, "{what}");
+        assert_eq!(replayed.crossings, direct.crossings, "{what}");
+        assert_eq!(replayed.finals, [direct.final_a, direct.final_b], "{what}");
+        let traces = replayed.traces.as_ref();
+        assert_eq!(traces.map(|tr| &tr[0]), direct.trace_a.as_ref(), "{what}");
+        assert_eq!(traces.map(|tr| &tr[1]), direct.trace_b.as_ref(), "{what}");
+        assert_eq!(replayed.pair_meetings, [direct.outcome.round()], "{what}");
+    }
+
+    /// Replays a pair under a two-agent [`Schedule`].
+    fn replay_pair_under(
+        t: &Tree,
+        (ta, tb): (&Trajectory, &Trajectory),
+        sched: &Schedule,
+        budget: u64,
+        record_traces: bool,
+    ) -> EnsembleReplay {
+        replay_ensemble(t, &[ta, tb], &EnsembleSchedule::from_pair(sched), budget, record_traces)
     }
 
     #[test]
@@ -1058,12 +828,12 @@ mod tests {
         let tb = record(&t, 9, WalkThenHalt { moves: 1 }, 10);
         assert!(ta.is_fixed() && tb.is_fixed());
         // Budget in the billions: the merge must settle from the tails.
-        let cfg = PairConfig::delayed(7, 2_000_000_000);
-        match replay_pair(&t, &ta, &tb, cfg) {
-            Replay::Decided(run) => {
-                assert_eq!(run.outcome, Outcome::Timeout { rounds: cfg.max_rounds })
+        let sched = EnsembleSchedule::start_delays(&[0, 7]);
+        match replay_ensemble(&t, &[&ta, &tb], &sched, 2_000_000_000, false) {
+            EnsembleReplay::Decided(run) => {
+                assert_eq!(run.outcome, Outcome::Timeout { rounds: 2_000_000_000 })
             }
-            Replay::NeedMore { .. } => panic!("fixed tails must decide"),
+            EnsembleReplay::NeedMore { .. } => panic!("fixed tails must decide"),
         }
     }
 
@@ -1072,12 +842,12 @@ mod tests {
         let t = line(9);
         let ta = record(&t, 0, BasicWalker, 10);
         let tb = record(&t, 8, BasicWalker, 10);
-        match replay_pair(&t, &ta, &tb, PairConfig::simultaneous(500)) {
-            Replay::NeedMore { a_rounds, b_rounds } => {
-                assert!(a_rounds > 10 && a_rounds <= 500);
-                assert!(b_rounds <= a_rounds);
+        match replay_ensemble(&t, &[&ta, &tb], &EnsembleSchedule::simultaneous(2), 500, false) {
+            EnsembleReplay::NeedMore { rounds } => {
+                assert!(rounds[0] > 10 && rounds[0] <= 500);
+                assert!(rounds[1] <= rounds[0]);
             }
-            Replay::Decided(run) => {
+            EnsembleReplay::Decided(run) => {
                 // Legal only if it met within the recorded horizon.
                 assert!(run.outcome.round().unwrap_or(u64::MAX) <= 10);
             }
@@ -1089,9 +859,9 @@ mod tests {
         let t = line(9);
         let ta = record(&t, 0, BasicWalker, 100);
         let tb = record(&t, 6, BasicWalker, 100);
-        let verdicts = delay_scan(&t, &ta, &tb, &[(0, 100), (1_000, 100)]);
+        let verdicts = gathering_scan(&t, &[&ta, &tb], &[(vec![0, 0], 100), (vec![0, 1_000], 100)]);
         for v in verdicts {
-            let Replay::Decided(run) = v else { panic!("recorded horizon decides") };
+            let EnsembleReplay::Decided(run) = v else { panic!("recorded horizon decides") };
             assert!(run.outcome.met());
         }
     }
@@ -1131,20 +901,15 @@ mod tests {
                     let budget = 64u64;
                     let ta = record(&t, a, BasicWalker, budget);
                     let tb = record(&t, b, BasicWalker, budget);
-                    let Replay::Decided(replayed) =
-                        replay_pair_scheduled(&t, &ta, &tb, sched, budget, true)
+                    let EnsembleReplay::Decided(replayed) =
+                        replay_pair_under(&t, (&ta, &tb), sched, budget, true)
                     else {
                         panic!("a full-budget recording must decide");
                     };
                     let mut x = BasicWalker;
                     let mut y = BasicWalker;
                     let direct = run_pair_scheduled(&t, a, b, &mut x, &mut y, sched, budget, true);
-                    assert_eq!(replayed.outcome, direct.outcome, "{sched:?} ({a},{b})");
-                    assert_eq!(replayed.crossings, direct.crossings, "{sched:?} ({a},{b})");
-                    assert_eq!(replayed.final_a, direct.final_a, "{sched:?} ({a},{b})");
-                    assert_eq!(replayed.final_b, direct.final_b, "{sched:?} ({a},{b})");
-                    assert_eq!(replayed.trace_a, direct.trace_a, "{sched:?} ({a},{b})");
-                    assert_eq!(replayed.trace_b, direct.trace_b, "{sched:?} ({a},{b})");
+                    assert_pair_run(&replayed, &direct, &format!("{sched:?} ({a},{b})"));
                 }
             }
         }
@@ -1159,12 +924,12 @@ mod tests {
         let sched = Schedule::intermittent(4, 0);
         let ta = record(&t, 0, BasicWalker, 200);
         let tb = record(&t, 29, BasicWalker, 2);
-        match replay_pair_scheduled(&t, &ta, &tb, &sched, 200, false) {
-            Replay::NeedMore { a_rounds, b_rounds } => {
-                assert_eq!(a_rounds, 0, "A's recording is long enough");
-                assert!(b_rounds > 2 && b_rounds <= 50, "B grows by activations: {b_rounds}");
+        match replay_pair_under(&t, (&ta, &tb), &sched, 200, false) {
+            EnsembleReplay::NeedMore { rounds } => {
+                assert_eq!(rounds[0], 0, "A's recording is long enough");
+                assert!(rounds[1] > 2 && rounds[1] <= 50, "B grows by activations: {rounds:?}");
             }
-            Replay::Decided(run) => {
+            EnsembleReplay::Decided(run) => {
                 panic!("2 recorded activations cannot decide 200 rounds: {:?}", run.outcome)
             }
         }
@@ -1180,19 +945,19 @@ mod tests {
         let tb = record(&t, 9, BasicWalker, 8);
         assert!(ta.is_fixed() && !tb.is_fixed());
         let sched = Schedule::crash_after(5);
-        match replay_pair_scheduled(&t, &ta, &tb, &sched, 3_000_000_000, false) {
-            Replay::Decided(run) => match run.outcome {
+        match replay_pair_under(&t, (&ta, &tb), &sched, 3_000_000_000, false) {
+            EnsembleReplay::Decided(run) => match run.outcome {
                 Outcome::Met { .. } => {}
                 Outcome::Timeout { rounds } => assert_eq!(rounds, 3_000_000_000),
             },
-            Replay::NeedMore { a_rounds, b_rounds } => {
-                panic!("crashed lane must decide, asked for ({a_rounds}, {b_rounds})")
+            EnsembleReplay::NeedMore { rounds } => {
+                panic!("crashed lane must decide, asked for {rounds:?}")
             }
         }
     }
 
     #[test]
-    fn schedule_scan_shares_one_recording_across_the_column() {
+    fn one_recording_answers_a_schedule_column() {
         let t = line(9);
         let ta = record(&t, 0, BasicWalker, 120);
         let tb = record(&t, 6, BasicWalker, 120);
@@ -1202,10 +967,12 @@ mod tests {
             (Schedule::intermittent(2, 0), 100),
             (Schedule::crash_after(1), 100),
         ];
-        let verdicts = schedule_scan(&t, &ta, &tb, &columns);
-        assert_eq!(verdicts.len(), columns.len());
-        for (v, (sched, budget)) in verdicts.iter().zip(&columns) {
-            let Replay::Decided(run) = v else { panic!("recorded horizon decides") };
+        for (sched, budget) in &columns {
+            let EnsembleReplay::Decided(run) =
+                replay_pair_under(&t, (&ta, &tb), sched, *budget, false)
+            else {
+                panic!("recorded horizon decides")
+            };
             let mut x = BasicWalker;
             let mut y = BasicWalker;
             let direct = run_pair_scheduled(&t, 0, 6, &mut x, &mut y, sched, *budget, false);
@@ -1219,7 +986,7 @@ mod tests {
         // The k-lane merge must be bit-identical to the k-lane stepper —
         // outcome, crossings, pair meetings, finals and traces — across
         // schedule classes, including the k = 2 case (which must also
-        // match the pair merge).
+        // match the pair stepper).
         struct CloneWalker;
         impl Agent for CloneWalker {
             fn act(&mut self, obs: Obs) -> Action {
@@ -1270,7 +1037,7 @@ mod tests {
     }
 
     #[test]
-    fn ensemble_replay_at_k2_matches_the_pair_merge() {
+    fn ensemble_replay_at_k2_matches_the_pair_stepper() {
         let t = line(11);
         let schedules = [
             Schedule::simultaneous(),
@@ -1286,16 +1053,9 @@ mod tests {
             else {
                 panic!("decided");
             };
-            let Replay::Decided(pr) = replay_pair_scheduled(&t, &ta, &tb, sched, 80, true) else {
-                panic!("decided");
-            };
-            assert_eq!(kr.outcome, pr.outcome, "{sched:?}");
-            assert_eq!(kr.crossings, pr.crossings);
-            assert_eq!(kr.finals[0], pr.final_a);
-            assert_eq!(kr.finals[1], pr.final_b);
-            let traces = kr.traces.expect("recorded");
-            assert_eq!(Some(&traces[0]), pr.trace_a.as_ref());
-            assert_eq!(Some(&traces[1]), pr.trace_b.as_ref());
+            let (mut x, mut y) = (BasicWalker, BasicWalker);
+            let pr = run_pair_scheduled(&t, 0, 9, &mut x, &mut y, sched, 80, true);
+            assert_pair_run(&kr, &pr, &format!("{sched:?}"));
         }
     }
 

@@ -13,11 +13,35 @@ use rand::SeedableRng;
 use tree_rendezvous::agent::line_fsa::LineFsa;
 use tree_rendezvous::agent::model::{bw_exit, Action, Agent, Obs, Step, SubAgent};
 use tree_rendezvous::explore::ExploBis;
-use tree_rendezvous::sim::{run_single, Cursor};
+use tree_rendezvous::sim::{
+    replay_ensemble, run_single, Cursor, EnsembleReplay, EnsembleRun, EnsembleSchedule,
+    TraceRecorder,
+};
 use tree_rendezvous::trees::canon::{canon_ports, unrooted_canon_structural};
 use tree_rendezvous::trees::generators::{random_relabel, random_tree};
 use tree_rendezvous::trees::symmetry::symmetrization_witness;
 use tree_rendezvous::trees::{contract, perfectly_symmetrizable, NodeId, Tree};
+
+/// Replays two recorders under `sched` through the k-lane merge at k = 2,
+/// growing the recordings on demand exactly like the sweep executor does.
+fn replay_two<A: Agent>(
+    t: &Tree,
+    (rec_a, rec_b): (&mut TraceRecorder<A>, &mut TraceRecorder<A>),
+    sched: &EnsembleSchedule,
+    budget: u64,
+    record_traces: bool,
+) -> EnsembleRun {
+    loop {
+        let trajs = [rec_a.trajectory(), rec_b.trajectory()];
+        match replay_ensemble(t, &trajs, sched, budget, record_traces) {
+            EnsembleReplay::Decided(run) => return run,
+            EnsembleReplay::NeedMore { rounds } => {
+                rec_a.record_to(t, rounds[0].max(2 * rec_a.trajectory().rounds()));
+                rec_b.record_to(t, rounds[1].max(2 * rec_b.trajectory().rounds()));
+            }
+        }
+    }
+}
 
 fn arb_tree(max_n: usize) -> impl Strategy<Value = Tree> {
     (2..=max_n, any::<u64>()).prop_map(|(n, seed)| {
@@ -269,15 +293,14 @@ proptest! {
         delay in 0u64..40,
         variant in 0usize..4,
     ) {
-        // ISSUE 3 differential: `replay_pair` over recorded trajectories
+        // Differential: the two-lane replay over recorded trajectories
         // must reproduce `run_pair` exactly — outcome, meeting round,
         // crossing count, final cursors and traces — for every agent
         // variant, delay and start pair. Trees are random (lines for the
         // paths-only `prime` protocol).
         use tree_rendezvous::core::prime_path::PrimePathAgent;
         use tree_rendezvous::core::{DelayRobustAgent, TreeRendezvousAgent};
-        use tree_rendezvous::sim::trace::Replay;
-        use tree_rendezvous::sim::{replay_pair, run_pair, PairConfig, TraceRecorder};
+        use tree_rendezvous::sim::{run_pair, PairConfig};
 
         let t = if variant == 2 {
             // prime runs on paths; reuse the random size for a line.
@@ -289,6 +312,7 @@ proptest! {
         let (a, b) = (a % n, b % n);
         let budget = 20_000u64;
         let cfg = PairConfig { delay, max_rounds: budget, record_traces: true };
+        let sched = EnsembleSchedule::start_delays(&[0, delay]);
 
         // Record both trajectories with the same meter the stepping run
         // reports, then replay; extend on demand exactly like the sweep
@@ -297,24 +321,17 @@ proptest! {
             ($mk:expr, $bits:expr) => {{
                 let mut rec_a = TraceRecorder::new(a, $mk, $bits);
                 let mut rec_b = TraceRecorder::new(b, $mk, $bits);
-                let replayed = loop {
-                    match replay_pair(&t, rec_a.trajectory(), rec_b.trajectory(), cfg) {
-                        Replay::Decided(run) => break run,
-                        Replay::NeedMore { a_rounds, b_rounds } => {
-                            rec_a.record_to(&t, a_rounds.max(2 * rec_a.trajectory().rounds()));
-                            rec_b.record_to(&t, b_rounds.max(2 * rec_b.trajectory().rounds()));
-                        }
-                    }
-                };
+                let replayed = replay_two(&t, (&mut rec_a, &mut rec_b), &sched, budget, true);
                 let mut x = $mk;
                 let mut y = $mk;
                 let direct = run_pair(&t, a, b, &mut x, &mut y, cfg);
                 prop_assert_eq!(&replayed.outcome, &direct.outcome);
                 prop_assert_eq!(replayed.crossings, direct.crossings);
-                prop_assert_eq!(replayed.final_a, direct.final_a);
-                prop_assert_eq!(replayed.final_b, direct.final_b);
-                prop_assert_eq!(&replayed.trace_a, &direct.trace_a);
-                prop_assert_eq!(&replayed.trace_b, &direct.trace_b);
+                prop_assert_eq!(replayed.finals[0], direct.final_a);
+                prop_assert_eq!(replayed.finals[1], direct.final_b);
+                let traces = replayed.traces.expect("recorded");
+                prop_assert_eq!(Some(&traces[0]), direct.trace_a.as_ref());
+                prop_assert_eq!(Some(&traces[1]), direct.trace_b.as_ref());
                 // The recorded meter marks must reproduce the stepping
                 // meters at the run's end (what SweepRow reports).
                 let acts_a = direct.outcome.round().unwrap_or(budget);
@@ -354,8 +371,7 @@ proptest! {
         // crossing count fails.
         use tree_rendezvous::agent::Fsa;
         use tree_rendezvous::lowerbounds::decide::{decide_pair, verify_lasso};
-        use tree_rendezvous::sim::trace::Replay;
-        use tree_rendezvous::sim::{replay_pair, run_pair, PairConfig, TraceRecorder};
+        use tree_rendezvous::sim::{run_pair, PairConfig};
 
         let n = t.num_nodes() as u32;
         let (a, b) = (a % n, b % n);
@@ -380,15 +396,8 @@ proptest! {
             // Replay over recorded trajectories.
             let mut rec_a = TraceRecorder::new(a, fsa.runner_owned(), Agent::memory_bits);
             let mut rec_b = TraceRecorder::new(b, fsa.runner_owned(), Agent::memory_bits);
-            let replayed = loop {
-                match replay_pair(&t, rec_a.trajectory(), rec_b.trajectory(), cfg) {
-                    Replay::Decided(run) => break run,
-                    Replay::NeedMore { a_rounds, b_rounds } => {
-                        rec_a.record_to(&t, a_rounds.max(2 * rec_a.trajectory().rounds()));
-                        rec_b.record_to(&t, b_rounds.max(2 * rec_b.trajectory().rounds()));
-                    }
-                }
-            };
+            let sched = EnsembleSchedule::start_delays(&[0, delay]);
+            let replayed = replay_two(&t, (&mut rec_a, &mut rec_b), &sched, budget, false);
             prop_assert_eq!(&replayed.outcome, &direct.outcome);
             prop_assert_eq!(replayed.crossings, direct.crossings);
 
@@ -431,11 +440,7 @@ proptest! {
         // replay, and the decider.
         use tree_rendezvous::agent::Fsa;
         use tree_rendezvous::lowerbounds::decide::{decide_pair, decide_pair_scheduled};
-        use tree_rendezvous::sim::trace::Replay;
-        use tree_rendezvous::sim::{
-            replay_pair, replay_pair_scheduled, run_pair, run_pair_scheduled, PairConfig,
-            Schedule, TraceRecorder,
-        };
+        use tree_rendezvous::sim::{run_pair, run_pair_scheduled, PairConfig, Schedule};
 
         let n = t.num_nodes() as u32;
         let (a, b) = (a % n, b % n);
@@ -458,22 +463,29 @@ proptest! {
         prop_assert_eq!(&scheduled.trace_a, &legacy.trace_a);
         prop_assert_eq!(&scheduled.trace_b, &legacy.trace_b);
 
-        // Replay over the same recordings.
+        // Replay over the same recordings: the θ-form schedule and the
+        // pair schedule's two-lane view, both against the stepped run.
         let mut rec_a = TraceRecorder::new(a, fsa.runner_owned(), Agent::memory_bits);
         let mut rec_b = TraceRecorder::new(b, fsa.runner_owned(), Agent::memory_bits);
         rec_a.record_to(&t, budget);
         rec_b.record_to(&t, budget);
-        let legacy_replay = replay_pair(&t, rec_a.trajectory(), rec_b.trajectory(), cfg);
-        let sched_replay =
-            replay_pair_scheduled(&t, rec_a.trajectory(), rec_b.trajectory(), &sched, budget, true);
+        let trajs = [rec_a.trajectory(), rec_b.trajectory()];
+        let legacy_sched = EnsembleSchedule::start_delays(&[0, theta]);
+        let legacy_replay = replay_ensemble(&t, &trajs, &legacy_sched, budget, true);
+        let pair_sched = EnsembleSchedule::from_pair(&sched);
+        let sched_replay = replay_ensemble(&t, &trajs, &pair_sched, budget, true);
         match (legacy_replay, sched_replay) {
-            (Replay::Decided(l), Replay::Decided(s)) => {
+            (EnsembleReplay::Decided(l), EnsembleReplay::Decided(s)) => {
                 prop_assert_eq!(&s.outcome, &l.outcome);
                 prop_assert_eq!(s.crossings, l.crossings);
-                prop_assert_eq!(s.final_a, l.final_a);
-                prop_assert_eq!(s.final_b, l.final_b);
-                prop_assert_eq!(&s.trace_a, &l.trace_a);
-                prop_assert_eq!(&s.trace_b, &l.trace_b);
+                prop_assert_eq!(&s.finals, &l.finals);
+                prop_assert_eq!(&s.traces, &l.traces);
+                prop_assert_eq!(&l.outcome, &legacy.outcome);
+                prop_assert_eq!(l.crossings, legacy.crossings);
+                prop_assert_eq!(&l.finals, &vec![legacy.final_a, legacy.final_b]);
+                let traces = l.traces.expect("recorded");
+                prop_assert_eq!(Some(&traces[0]), legacy.trace_a.as_ref());
+                prop_assert_eq!(Some(&traces[1]), legacy.trace_b.as_ref());
             }
             (l, s) => prop_assert!(false, "full recordings must decide: {:?} vs {:?}", l, s),
         }
@@ -508,10 +520,7 @@ proptest! {
         use tree_rendezvous::lowerbounds::decide::{
             decide_pair_scheduled, verify_schedule_lasso,
         };
-        use tree_rendezvous::sim::trace::Replay;
-        use tree_rendezvous::sim::{
-            replay_pair_scheduled, run_pair_scheduled, Schedule, TraceRecorder,
-        };
+        use tree_rendezvous::sim::{run_pair_scheduled, Schedule};
 
         let n = t.num_nodes() as u32;
         let (a, b) = (a % n, b % n);
@@ -535,17 +544,8 @@ proptest! {
 
         let mut rec_a = TraceRecorder::new(a, fsa.runner_owned(), Agent::memory_bits);
         let mut rec_b = TraceRecorder::new(b, fsa.runner_owned(), Agent::memory_bits);
-        let replayed = loop {
-            match replay_pair_scheduled(
-                &t, rec_a.trajectory(), rec_b.trajectory(), &sched, budget, false,
-            ) {
-                Replay::Decided(run) => break run,
-                Replay::NeedMore { a_rounds, b_rounds } => {
-                    rec_a.record_to(&t, a_rounds.max(2 * rec_a.trajectory().rounds()));
-                    rec_b.record_to(&t, b_rounds.max(2 * rec_b.trajectory().rounds()));
-                }
-            }
-        };
+        let esched = EnsembleSchedule::from_pair(&sched);
+        let replayed = replay_two(&t, (&mut rec_a, &mut rec_b), &esched, budget, false);
         prop_assert_eq!(&replayed.outcome, &direct.outcome);
         prop_assert_eq!(replayed.crossings, direct.crossings);
 

@@ -1,6 +1,6 @@
 //! End-to-end activation-schedule scenarios across all four execution
 //! layers: the scheduled simulator (`rvz_sim::run_pair_scheduled`), the
-//! schedule-aware trace replay (`rvz_sim::schedule_scan`), the
+//! schedule-aware trace replay (`rvz_sim::replay_ensemble` at k = 2), the
 //! cycle-position exact decider
 //! (`rvz_lowerbounds::decide_pair_scheduled` / `worst_case_schedule`),
 //! and the sweep engine's `Delay::Schedule` axis (e10).
@@ -10,8 +10,9 @@ use tree_rendezvous::agent::Fsa;
 use tree_rendezvous::lowerbounds::decide::{
     decide_pair_scheduled, verify_schedule_lasso, worst_case_schedule, ScheduleWorstCase,
 };
-use tree_rendezvous::sim::trace::Replay;
-use tree_rendezvous::sim::{schedule_scan, Schedule, TraceRecorder};
+use tree_rendezvous::sim::{
+    replay_ensemble, EnsembleReplay, EnsembleSchedule, Schedule, TraceRecorder,
+};
 use tree_rendezvous::trees::generators::line;
 
 /// The basic walk on a 9-line, pair (0, 6): the e9 story told through
@@ -33,10 +34,18 @@ fn schedule_column_is_answered_from_two_recordings() {
         (Schedule::intermittent(3, 0), 200),
         (Schedule::crash_after(0), 200),
     ];
-    let verdicts = schedule_scan(&t, rec_a.trajectory(), rec_b.trajectory(), &columns);
+    // One pair of recordings answers the whole column: each schedule only
+    // re-times the two-lane merge.
+    let trajs = [rec_a.trajectory(), rec_b.trajectory()];
+    let verdicts: Vec<EnsembleReplay> = columns
+        .iter()
+        .map(|(sched, budget)| {
+            replay_ensemble(&t, &trajs, &EnsembleSchedule::from_pair(sched), *budget, false)
+        })
+        .collect();
     assert_eq!(verdicts.len(), 5);
     for ((sched, _), verdict) in columns.iter().zip(&verdicts) {
-        let Replay::Decided(run) = verdict else {
+        let EnsembleReplay::Decided(run) = verdict else {
             panic!("200 recorded rounds decide every column: {sched:?}")
         };
         // Replay must agree with the budget-free decider on every column.
@@ -46,7 +55,7 @@ fn schedule_column_is_answered_from_two_recordings() {
     }
     // The crash column: B parked at 6 from the start, A's endpoint walk
     // arrives at round 6.
-    let Replay::Decided(crash) = &verdicts[4] else { panic!() };
+    let EnsembleReplay::Decided(crash) = &verdicts[4] else { panic!() };
     assert_eq!(crash.outcome.round(), Some(6));
 }
 
